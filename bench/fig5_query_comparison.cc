@@ -71,6 +71,9 @@ void VectorizedComparison(const BenchOptions& opts,
   struct Query {
     const char* sql;
     bool join;
+    /// Non-null: the query's serial and parallel times and parity are also
+    /// reported as their own metrics under this prefix.
+    const char* metric = nullptr;
   };
   const Query queries[] = {
       {"SELECT COUNT(*), SUM(amount), AVG(qty) FROM sale", false},
@@ -78,6 +81,12 @@ void VectorizedComparison(const BenchOptions& opts,
       {"SELECT region, COUNT(*), SUM(amount), MAX(amount) FROM sale "
        "GROUP BY region ORDER BY region",
        false},
+      // High-cardinality GROUP BY with a top-K (the subench Q5 shape): one
+      // group per product, so the parallel run takes the partitioned
+      // combine.
+      {"SELECT pid, SUM(amount) AS rev FROM sale GROUP BY pid "
+       "ORDER BY rev DESC LIMIT 10",
+       false, "topk_group"},
       {"SELECT COUNT(*), SUM(s.amount * p.cost) FROM sale s "
        "JOIN product p ON s.pid = p.pid",
        true},
@@ -107,11 +116,18 @@ void VectorizedComparison(const BenchOptions& opts,
     std::vector<std::string> par_rows = ResultRows(*s, q.sql, &exec_ok);
     db.set_exec_threads(1);
     if (interp_us < 0 || vec_us < 0 || par_us < 0) return;
+    const bool same = exec_ok && par_rows == serial_rows;
     if (!exec_ok) {
       parity_ok = false;  // a failed execution is a failure, not "equal"
-    } else if (par_rows != serial_rows) {
+    } else if (!same) {
       parity_ok = false;
       std::fprintf(stderr, "PARITY MISMATCH on: %s\n", q.sql);
+    }
+    if (q.metric != nullptr) {
+      const std::string m = q.metric;
+      report->AddMetric("vectorized", m + "_serial_ms", vec_us / 1000.0);
+      report->AddMetric("vectorized", m + "_parallel_ms", par_us / 1000.0);
+      report->AddMetric("vectorized", m + "_parity_ok", same ? 1 : 0);
     }
     double speedup = vec_us > 0 ? static_cast<double>(interp_us) / vec_us : 0;
     double par_speedup =

@@ -15,6 +15,7 @@
 
 #include "engine/database.h"
 #include "engine/session.h"
+#include "exec/vectorized.h"
 #include "tests/result_strings.h"
 
 namespace olxp::fuzz {
@@ -43,6 +44,10 @@ engine::EngineProfile FuzzProfile() {
   p.vacuum_interval_us = 0;      // no background thread: deterministic state
   p.durability = storage::DurabilityMode::kOff;
   p.wal_dir.clear();
+  // One chunk per morsel: table t (1400 rows) spans two morsels, so the
+  // threads=2/8 runs really combine lane work (per-morsel merge, or the
+  // partitioned GROUP BY combine for high-cardinality keys).
+  p.morsel_rows = exec::kVecChunkRows;
   return p;
 }
 

@@ -397,6 +397,7 @@ Session::Session(Database* db)
   m_cost_override_ = m.GetCounter("router.cost_overrides_to_row");
   m_stoch_override_ = m.GetCounter("router.stochastic_overrides_to_row");
   m_morsels_ = m.GetCounter("exec.morsels_dispatched");
+  m_agg_partitioned_ = m.GetCounter("exec.agg.partitioned");
   m_slow_ = m.GetCounter("session.slow_queries");
   m_statement_us_ = m.GetHistogram("session.statement_us");
   m_residual_pct_ = m.GetHistogram("router.cost_residual_pct");
@@ -564,7 +565,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     // so seek-dominated shapes still win the comparison. The lane count is
     // clamped by the driving table's morsel count over its SLOT count
     // (live + dead — a raw scan walks every slot), exactly the clamp
-    // RunMorselFanOut applies — a table smaller than one morsel runs
+    // MorselScan applies — a table smaller than one morsel runs
     // serially and must not be costed as if it fanned out.
     const auto col_parallel_for = [&](double driver_slots) {
       if (!vectorizes || shape.early_stop_limit ||
@@ -675,6 +676,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       vopts.morsel_rows = db_->profile().morsel_rows;
       vopts.trace = trace;
       vopts.morsel_counter = m_morsels_;
+      vopts.partitioned_counter = m_agg_partitioned_;
       auto rs = exec::ExecuteVectorized(stmt, params, db_->column_store(),
                                         vopts, &vstats);
       counter.fetch_sub(1, std::memory_order_relaxed);

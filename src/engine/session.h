@@ -183,6 +183,7 @@ class Session {
   obs::Counter* m_cost_override_ = nullptr;
   obs::Counter* m_stoch_override_ = nullptr;
   obs::Counter* m_morsels_ = nullptr;
+  obs::Counter* m_agg_partitioned_ = nullptr;
   obs::Counter* m_slow_ = nullptr;
   obs::Histogram* m_statement_us_ = nullptr;
   obs::Histogram* m_residual_pct_ = nullptr;

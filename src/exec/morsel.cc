@@ -138,10 +138,16 @@ bool MorselDispatcher::Next(Morsel* out) {
   if (cancelled_.load(std::memory_order_acquire)) return false;
   size_t ordinal = cursor_.fetch_add(1, std::memory_order_relaxed);
   if (ordinal >= count_) return false;
-  out->ordinal = ordinal;
-  out->base = ordinal * morsel_rows_;
-  out->rows = std::min(morsel_rows_, total_ - out->base);
+  *out = At(ordinal);
   return true;
+}
+
+MorselDispatcher::Morsel MorselDispatcher::At(size_t ordinal) const {
+  Morsel m;
+  m.ordinal = ordinal;
+  m.base = ordinal * morsel_rows_;
+  m.rows = std::min(morsel_rows_, total_ - m.base);
+  return m;
 }
 
 }  // namespace olxp::exec

@@ -98,6 +98,10 @@ class MorselDispatcher {
   /// Claims the next unclaimed morsel; false when exhausted or cancelled.
   bool Next(Morsel* out);
 
+  /// The morsel with dense index `ordinal` (< morsel_count()), for a second
+  /// pass over morsels a first fan-out already claimed.
+  Morsel At(size_t ordinal) const;
+
   /// Makes every subsequent Next() return false (error propagation).
   /// Morsels already claimed run to completion.
   void Cancel() { cancelled_.store(true, std::memory_order_release); }

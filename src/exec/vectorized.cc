@@ -1,9 +1,13 @@
 #include "exec/vectorized.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -98,37 +102,105 @@ void AccumulateVec(AggAccum* acc, const Vec& v) {
   }
 }
 
-/// One aggregation group (the global aggregate is a single implicit group).
-/// Alongside the probing structures (group_index / int_groups) each group
-/// captures its own key at creation, so per-morsel partial states can be
-/// merged without re-deriving keys from the maps.
-struct VGroup {
-  Row repr;  ///< representative input tuple (first row of the group)
-  std::vector<AggAccum> accums;
-  int64_t star_count = 0;
-  Row key;               ///< group-key values (row-keyed sinks)
-  int64_t ikey = 0;      ///< single-int-key fast path
-  bool null_key = false; ///< the single key was NULL
+/// Partitions of the radix-partitioned GROUP BY combine: enough to keep
+/// every lane busy in the second phase, few enough that the fixed cost of
+/// one Consume per (chunk, partition) stays small.
+constexpr size_t kAggPartitions = 16;
+/// Partition = the top 4 bits of the mixed key hash (kAggPartitions = 16).
+constexpr int kAggPartitionShift = 60;
+/// The partitioned combine engages when the first morsel creates more than
+/// one group per this many selected rows: below that, per-morsel partials
+/// stay small and their merge is cheaper than one Consume per partition.
+constexpr int64_t kRowsPerGroupForPartitioning = 8;
+
+/// splitmix64 finalizer: spreads clustered keys over every bit. The
+/// open-addressing group map indexes by the low bits and the partitioned
+/// combine by the top bits, so the keys of one partition still spread over
+/// the whole map.
+inline uint64_t MixHash(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Open-addressing int64 -> group-number map for the single-int-key GROUP
+/// BY: linear probing over a power-of-two slot array kept at most half
+/// full, so finding or creating a group allocates nothing per group.
+class IntGroupMap {
+ public:
+  /// The group stored for `key`; absent keys get `next` (second = true).
+  std::pair<uint32_t, bool> FindOrInsert(int64_t key, uint32_t next) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    for (size_t i = MixHash(static_cast<uint64_t>(key)) & mask_;;
+         i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.group == kEmpty) {
+        s.key = key;
+        s.group = next;
+        ++size_;
+        return {next, true};
+      }
+      if (s.key == key) return {s.group, false};
+    }
+  }
+
+  /// Calls fn(key, group) for every stored key, in slot order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.group != kEmpty) fn(s.key, s.group);
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    int64_t key = 0;
+    uint32_t group = kEmpty;
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.group == kEmpty) continue;
+      size_t i = MixHash(static_cast<uint64_t>(s.key)) & mask_;
+      while (slots_[i].group != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
 };
 
 /// Accumulates one argument vector into per-group accumulators with typed
-/// inner loops (no per-row Value boxing). A given expression always yields
-/// one payload family, so comparing typed values against the accumulator's
-/// current min/max Value is exact.
-void AccumulateGrouped(std::vector<VGroup>& groups,
+/// inner loops (no per-row Value boxing). `accums` holds `naggs`
+/// accumulators per group; row i feeds accumulator `a` of group gidx[i]. A
+/// given expression always yields one payload family, so comparing typed
+/// values against the accumulator's current min/max Value is exact. Numeric
+/// min/max are tracked only for `extremes` (MIN/MAX): no other aggregate
+/// reads them.
+void AccumulateGrouped(std::vector<AggAccum>& accums, size_t naggs,
                        const std::vector<uint32_t>& gidx, size_t a,
-                       const Vec& v) {
+                       bool extremes, const Vec& v) {
   const size_t n = v.n;
   if (v.type == ValueType::kNull) return;
   if (v.type == ValueType::kInt || v.type == ValueType::kTimestamp) {
     const bool ts = v.type == ValueType::kTimestamp;
     for (size_t i = 0; i < n; ++i) {
       if (v.null_at(i)) continue;
-      AggAccum& acc = groups[gidx[i]].accums[a];
+      AggAccum& acc = accums[gidx[i] * naggs + a];
       int64_t x = v.int_at(i);
       ++acc.count;
       acc.AddInt(x);
       acc.AddDouble(static_cast<double>(x));
+      if (!extremes) continue;
       // AsInt on a kDouble extreme would round; an expression's payload can
       // flip family between chunks when a branch is all-NULL in one chunk,
       // so use the exact Value comparison whenever a double extreme is
@@ -154,11 +226,12 @@ void AccumulateGrouped(std::vector<VGroup>& groups,
   if (v.type == ValueType::kDouble) {
     for (size_t i = 0; i < n; ++i) {
       if (v.null_at(i)) continue;
-      AggAccum& acc = groups[gidx[i]].accums[a];
+      AggAccum& acc = accums[gidx[i] * naggs + a];
       double x = v.dbl_at(i);
       ++acc.count;
       acc.any_double = true;
       acc.AddDouble(x);
+      if (!extremes) continue;
       if (acc.min.is_null() || x < acc.min.AsDouble()) {
         acc.min = Value::Double(x);
       }
@@ -169,13 +242,19 @@ void AccumulateGrouped(std::vector<VGroup>& groups,
     return;
   }
   for (size_t i = 0; i < n; ++i) {
-    if (!v.null_at(i)) groups[gidx[i]].accums[a].Add(v.value_at(i));
+    if (!v.null_at(i)) accums[gidx[i] * naggs + a].Add(v.value_at(i));
   }
 }
 
+/// One output candidate: projected values plus the ORDER BY keys that are
+/// not projections (an item naming a projection reads it from `out`).
+/// `seq` is the row's place in output order before sorting: its position
+/// for a single state, the group's first scan slot in the partitioned
+/// combine.
 struct PendingRow {
   Row out;
   Row order_keys;
+  uint64_t seq = 0;
 };
 
 std::vector<ValueType> SchemaTypes(const storage::TableSchema& schema) {
@@ -185,23 +264,56 @@ std::vector<ValueType> SchemaTypes(const storage::TableSchema& schema) {
   return types;
 }
 
-/// Mergeable accumulation state of one sink consumer. The serial path owns
-/// a single state for the whole scan; the morsel-driven parallel path owns
-/// one per morsel and merges them in morsel order, which reproduces the
-/// serial scan's output order, group creation order and representative
-/// tuples exactly regardless of which lane ran which morsel.
+/// Marks every slot referenced by the subtree in `mask`.
+void MarkSlots(const BoundExpr& e, std::vector<uint8_t>* mask) {
+  if (e.kind == sql::BKind::kSlot && e.slot >= 0 &&
+      static_cast<size_t>(e.slot) < mask->size()) {
+    (*mask)[e.slot] = 1;
+  }
+  for (const auto& c : e.children) MarkSlots(*c, mask);
+}
+
+/// Accumulation state of one sink consumer: the whole scan (serial path),
+/// one morsel (per-morsel partials, merged in morsel order) or one key
+/// partition (partitioned combine). Either way every group's rows arrive
+/// in scan order within the state that owns the group.
 struct SinkState {
-  std::vector<PendingRow> pending;
-  std::vector<VGroup> groups;
-  std::unordered_map<Row, uint32_t, storage::KeyHash, storage::KeyEq>
-      group_index;
-  std::unordered_map<int64_t, uint32_t> int_groups;
+  std::vector<PendingRow> pending;  ///< projection mode
+  // Aggregation groups as structure-of-arrays, indexed by group number in
+  // creation order; the global aggregate is the single group 0.
+  std::vector<int64_t> star_counts;
+  std::vector<AggAccum> accums;  ///< [group * naggs + agg]
+  /// Representative (first-row) values of only the slots the finalization
+  /// reads: [group * repr slots + r].
+  std::vector<Value> reprs;
+  /// Scan slot of each group's first row (chunk base + row); orders the
+  /// groups of different partitions in the partitioned combine.
+  std::vector<uint64_t> first_rows;
+  IntGroupMap int_groups;  ///< single integer key
   uint32_t null_group = UINT32_MAX;
+  std::unordered_map<Row, uint32_t, storage::KeyHash, storage::KeyEq>
+      group_index;  ///< any other key
   // DISTINCT dedup by value (same semantics as the interpreter's buckets).
-  // Every consumer dedups into its own state (global for the serial scan,
-  // per-morsel for parallel partials); the combine dedups once more across
-  // partials as they merge in morsel order, so keep-first is global.
+  // Every projection-mode consumer dedups into its own state (global for
+  // the serial scan, per-morsel for parallel partials); the combine dedups
+  // once more across partials as they merge in morsel order, so keep-first
+  // is global.
   std::unordered_set<Row, storage::KeyHash, storage::KeyEq> distinct_seen;
+
+  size_t num_groups() const { return star_counts.size(); }
+  bool empty() const {
+    return pending.empty() && star_counts.empty() && distinct_seen.empty();
+  }
+};
+
+/// One scanned chunk's selected rows split by group-key partition (first
+/// phase of the partitioned combine): rows[offs[p], offs[p+1]) belong to
+/// partition p, ascending within each partition.
+struct ChunkParts {
+  size_t base = 0;   ///< first slot of the chunk
+  size_t slots = 0;  ///< slots in the chunk
+  std::vector<uint32_t> rows;
+  std::array<uint32_t, kAggPartitions + 1> offs{};
 };
 
 /// The shared tail of both pipelines: consumes filtered (chunk, selection)
@@ -216,17 +328,16 @@ class VecSink {
   VecSink(const BoundSelect& plan, std::span<const Value> params)
       : plan_(plan), params_(params) {}
 
-  /// Join batches fill only referenced slots; group representatives must
-  /// not read the empty columns (unset slots stay NULL, which EvalBound
-  /// never touches by construction of the mask).
-  void set_needed_slots(const std::vector<uint8_t>* mask) { needed_ = mask; }
-
   /// The serial path may stop scanning once LIMIT rows are collected; such
   /// plans never go parallel (a full sweep would waste the early exit).
   bool can_stop_early() const { return can_stop_early_; }
 
+  /// Aggregation with a GROUP BY: the shape the partitioned combine serves.
+  bool grouped() const {
+    return plan_.aggregate_mode && !group_exprs_.empty();
+  }
+
   Status Init(std::span<const ValueType> slot_types) {
-    repr_cols_ = plan_.total_slots;
     if (plan_.aggregate_mode) {
       group_exprs_.reserve(plan_.group_by.size());
       for (const auto& g : plan_.group_by) {
@@ -253,6 +364,18 @@ class VecSink {
           group_exprs_[0].kind == sql::BKind::kSlot &&
           (group_exprs_[0].col_type == ValueType::kInt ||
            group_exprs_[0].col_type == ValueType::kTimestamp);
+      // Groups keep representative values of only the slots finalization
+      // evaluates (projections, HAVING, ORDER BY). The join path fills
+      // these slots by construction of its needed-slot mask.
+      std::vector<uint8_t> refs(plan_.total_slots, 0);
+      for (const auto& p : plan_.projections) MarkSlots(*p, &refs);
+      if (plan_.having) MarkSlots(*plan_.having, &refs);
+      for (const BoundOrderItem& oi : plan_.order_by) {
+        if (oi.expr) MarkSlots(*oi.expr, &refs);
+      }
+      for (int s = 0; s < plan_.total_slots; ++s) {
+        if (refs[s]) repr_slots_.push_back(s);
+      }
     } else {
       proj_exprs_.reserve(plan_.projections.size());
       for (const auto& p : plan_.projections) {
@@ -285,10 +408,56 @@ class VecSink {
     return ConsumeGroupedAgg(st, chunk, sel);
   }
 
+  /// Splits the selected rows of one chunk by group-key partition (grouped
+  /// plans only). Equal keys always land in the same partition, so each
+  /// partition aggregates its groups alone.
+  Status PartitionRows(const storage::ColumnChunkView& chunk, const Sel& sel,
+                       ChunkParts* out) const {
+    out->base = chunk.base;
+    out->slots = chunk.rows;
+    out->offs.fill(0);
+    out->rows.resize(sel.size());
+    if (sel.empty()) return Status::OK();
+    std::vector<Vec> kvecs;
+    OLXP_RETURN_NOT_OK(EvalKeys(chunk, sel, &kvecs));
+    std::vector<uint8_t> part(sel.size());
+    if (single_int_key_) {
+      const Vec& kv = kvecs[0];
+      for (size_t i = 0; i < sel.size(); ++i) {
+        part[i] = kv.null_at(i)
+                      ? 0
+                      : static_cast<uint8_t>(
+                            MixHash(static_cast<uint64_t>(kv.int_at(i))) >>
+                            kAggPartitionShift);
+      }
+    } else {
+      Row key;
+      for (size_t i = 0; i < sel.size(); ++i) {
+        key.clear();
+        for (const Vec& kv : kvecs) key.push_back(kv.value_at(i));
+        part[i] = static_cast<uint8_t>(MixHash(storage::KeyHash{}(key)) >>
+                                       kAggPartitionShift);
+      }
+    }
+    // Stable counting sort: rows keep scan order within each partition.
+    for (uint8_t p : part) ++out->offs[p + 1];
+    for (size_t p = 0; p < kAggPartitions; ++p) {
+      out->offs[p + 1] += out->offs[p];
+    }
+    std::array<uint32_t, kAggPartitions> fill;
+    std::copy(out->offs.begin(), out->offs.end() - 1, fill.begin());
+    for (size_t i = 0; i < sel.size(); ++i) out->rows[fill[part[i]]++] = sel[i];
+    return Status::OK();
+  }
+
   /// Folds `src` (a later morsel's partial state) into `dst`. Callers merge
   /// partials strictly in morsel order; group-creation order and DISTINCT
   /// keep-first semantics rely on it.
   void MergeState(SinkState* dst, SinkState&& src) const {
+    if (dst->empty()) {
+      *dst = std::move(src);
+      return;
+    }
     if (!plan_.aggregate_mode) {
       dst->pending.reserve(dst->pending.size() + src.pending.size());
       for (PendingRow& pr : src.pending) {
@@ -300,124 +469,160 @@ class VecSink {
       return;
     }
     if (group_exprs_.empty()) {
-      if (src.groups.empty()) return;
-      if (dst->groups.empty()) {
-        dst->groups = std::move(src.groups);
-        return;
-      }
-      VGroup& d = dst->groups[0];
-      const VGroup& s = src.groups[0];
-      d.star_count += s.star_count;
-      for (size_t a = 0; a < d.accums.size(); ++a) {
-        d.accums[a].MergeFrom(s.accums[a]);
-      }
+      if (src.num_groups() != 0) FoldGroup(dst, 0, src, 0);
       return;
     }
-    for (VGroup& g : src.groups) {
-      uint32_t tgt = UINT32_MAX;
+    // Recover each source group's key from the maps, by group number.
+    const size_t n = src.num_groups();
+    std::vector<int64_t> ikeys;
+    std::vector<const Row*> rkeys;
+    if (single_int_key_) {
+      ikeys.resize(n);
+      src.int_groups.ForEach([&](int64_t k, uint32_t g) { ikeys[g] = k; });
+    } else {
+      rkeys.resize(n);
+      for (const auto& [k, g] : src.group_index) rkeys[g] = &k;
+    }
+    for (uint32_t g = 0; g < n; ++g) {
+      const auto next = static_cast<uint32_t>(dst->num_groups());
+      uint32_t tgt = 0;
       bool fresh = false;
-      const auto next = static_cast<uint32_t>(dst->groups.size());
-      if (single_int_key_) {
-        if (g.null_key) {
-          if (dst->null_group == UINT32_MAX) {
-            dst->null_group = next;
-            fresh = true;
-          } else {
-            tgt = dst->null_group;
-          }
-        } else {
-          auto [it, inserted] = dst->int_groups.try_emplace(g.ikey, next);
-          if (inserted) {
-            fresh = true;
-          } else {
-            tgt = it->second;
-          }
-        }
+      if (!single_int_key_) {
+        auto [it, inserted] = dst->group_index.try_emplace(*rkeys[g], next);
+        tgt = it->second;
+        fresh = inserted;
+      } else if (g == src.null_group) {
+        fresh = dst->null_group == UINT32_MAX;
+        if (fresh) dst->null_group = next;
+        tgt = dst->null_group;
       } else {
-        auto [it, inserted] = dst->group_index.try_emplace(g.key, next);
-        if (inserted) {
-          fresh = true;
-        } else {
-          tgt = it->second;
-        }
+        std::tie(tgt, fresh) = dst->int_groups.FindOrInsert(ikeys[g], next);
       }
       if (fresh) {
-        dst->groups.push_back(std::move(g));
-        continue;
-      }
-      VGroup& d = dst->groups[tgt];
-      d.star_count += g.star_count;
-      for (size_t a = 0; a < d.accums.size(); ++a) {
-        d.accums[a].MergeFrom(g.accums[a]);
+        AppendGroup(dst, &src, g);
+      } else {
+        FoldGroup(dst, tgt, src, g);
       }
     }
   }
 
-  StatusOr<sql::ResultSet> Finish(SinkState&& st) const {
-    // ----- aggregate finalization: HAVING, projection, order keys -----
-    if (plan_.aggregate_mode) {
-      if (st.groups.empty() && plan_.group_by.empty()) {
-        // Global aggregate over empty input still yields one row.
-        VGroup g;
-        g.repr.assign(plan_.total_slots, Value::Null());
-        g.accums.resize(plan_.aggs.size());
-        st.groups.push_back(std::move(g));
-      }
-      for (const VGroup& g : st.groups) {
-        std::vector<Value> agg_values(plan_.aggs.size());
-        for (size_t a = 0; a < plan_.aggs.size(); ++a) {
-          agg_values[a] =
-              g.accums[a].Result(plan_.aggs[a].fn, g.star_count);
-        }
-        if (plan_.having) {
-          auto v =
-              sql::EvalBound(*plan_.having, g.repr, params_, &agg_values);
-          if (!v.ok()) return v.status();
-          if (!v->AsBool()) continue;
-        }
-        PendingRow pr;
-        pr.out.reserve(plan_.projections.size());
-        for (const auto& p : plan_.projections) {
-          auto v = sql::EvalBound(*p, g.repr, params_, &agg_values);
-          if (!v.ok()) return v.status();
-          pr.out.push_back(std::move(v).value());
-        }
-        if (plan_.distinct && !st.distinct_seen.insert(pr.out).second) {
-          continue;
-        }
-        for (const BoundOrderItem& oi : plan_.order_by) {
-          if (oi.proj_index >= 0) {
-            pr.order_keys.push_back(pr.out[oi.proj_index]);
-          } else {
-            auto v = sql::EvalBound(*oi.expr, g.repr, params_, &agg_values);
-            if (!v.ok()) return v.status();
-            pr.order_keys.push_back(std::move(v).value());
-          }
-        }
-        st.pending.push_back(std::move(pr));
-      }
+  /// Evaluates HAVING, the projections and the ORDER BY keys of every group
+  /// of `st`, in group order, appending the surviving rows to `out`. Each
+  /// row's seq is its group's first scan slot when `seq_by_first_row` (the
+  /// partitioned combine interleaves partitions by it), else its group
+  /// number.
+  Status FinalizeGroups(const SinkState& st, bool seq_by_first_row,
+                        std::vector<PendingRow>* out) const {
+    const size_t naggs = plan_.aggs.size();
+    const size_t nrepr = repr_slots_.size();
+    if (st.num_groups() == 0 && plan_.group_by.empty()) {
+      // Global aggregate over empty input still yields one row.
+      SinkState one;
+      one.star_counts.push_back(0);
+      one.accums.resize(naggs);
+      one.reprs.resize(nrepr);
+      one.first_rows.push_back(0);
+      return FinalizeGroups(one, seq_by_first_row, out);
     }
+    Row tuple(plan_.total_slots);
+    std::vector<Value> agg_values(naggs);
+    out->reserve(out->size() + st.num_groups());
+    for (size_t g = 0; g < st.num_groups(); ++g) {
+      for (size_t r = 0; r < nrepr; ++r) {
+        tuple[repr_slots_[r]] = st.reprs[g * nrepr + r];
+      }
+      for (size_t a = 0; a < naggs; ++a) {
+        agg_values[a] = st.accums[g * naggs + a].Result(plan_.aggs[a].fn,
+                                                        st.star_counts[g]);
+      }
+      if (plan_.having) {
+        auto v = sql::EvalBound(*plan_.having, tuple, params_, &agg_values);
+        if (!v.ok()) return v.status();
+        if (!v->AsBool()) continue;
+      }
+      PendingRow pr;
+      pr.seq = seq_by_first_row ? st.first_rows[g] : g;
+      pr.out.reserve(plan_.projections.size());
+      for (const auto& p : plan_.projections) {
+        auto v = sql::EvalBound(*p, tuple, params_, &agg_values);
+        if (!v.ok()) return v.status();
+        pr.out.push_back(std::move(v).value());
+      }
+      for (const BoundOrderItem& oi : plan_.order_by) {
+        if (oi.proj_index >= 0) continue;
+        auto v = sql::EvalBound(*oi.expr, tuple, params_, &agg_values);
+        if (!v.ok()) return v.status();
+        pr.order_keys.push_back(std::move(v).value());
+      }
+      out->push_back(std::move(pr));
+    }
+    return Status::OK();
+  }
 
-    // ----- sort / limit / emit (identical to the interpreter) -----
+  /// Finishes a single (serial or merged) state.
+  StatusOr<sql::ResultSet> Finish(SinkState&& st) const {
+    if (!plan_.aggregate_mode) return Emit(std::move(st.pending), false);
+    std::vector<PendingRow> rows;
+    OLXP_RETURN_NOT_OK(FinalizeGroups(st, /*seq_by_first_row=*/false, &rows));
+    return Emit(std::move(rows), false);
+  }
+
+  /// Aggregate DISTINCT, ORDER BY and LIMIT over finalized rows, identical
+  /// to the interpreter's stable sort. `rows` are in output order unless
+  /// `by_seq`, in which case their seq fields define it. Ties in the ORDER
+  /// BY keys break by that order, so a LIMIT k after ORDER BY takes a
+  /// partial sort and still returns exactly the stable sort's prefix.
+  StatusOr<sql::ResultSet> Emit(std::vector<PendingRow>&& rows,
+                                bool by_seq) const {
+    const bool agg_distinct = plan_.aggregate_mode && plan_.distinct;
+    if (!by_seq) {
+      for (size_t i = 0; i < rows.size(); ++i) rows[i].seq = i;
+    } else if (plan_.order_by.empty() || agg_distinct) {
+      std::sort(rows.begin(), rows.end(),
+                [](const PendingRow& a, const PendingRow& b) {
+                  return a.seq < b.seq;
+                });
+    }
+    if (agg_distinct) {
+      std::unordered_set<Row, storage::KeyHash, storage::KeyEq> seen;
+      size_t kept = 0;
+      for (PendingRow& pr : rows) {
+        if (!seen.insert(pr.out).second) continue;
+        if (&rows[kept] != &pr) rows[kept] = std::move(pr);
+        ++kept;
+      }
+      rows.resize(kept);
+    }
+    size_t n = rows.size();
+    if (plan_.limit >= 0) n = std::min(n, static_cast<size_t>(plan_.limit));
+    std::vector<uint32_t> order(rows.size());
+    std::iota(order.begin(), order.end(), 0u);
     if (!plan_.order_by.empty()) {
-      std::stable_sort(st.pending.begin(), st.pending.end(),
-                       [&](const PendingRow& a, const PendingRow& b) {
-                         for (size_t i = 0; i < plan_.order_by.size(); ++i) {
-                           int c = a.order_keys[i].Compare(b.order_keys[i]);
-                           if (c != 0) {
-                             return plan_.order_by[i].desc ? c > 0 : c < 0;
-                           }
-                         }
-                         return false;
-                       });
+      auto before = [&](uint32_t ia, uint32_t ib) {
+        const PendingRow& a = rows[ia];
+        const PendingRow& b = rows[ib];
+        size_t expr = 0;
+        for (const BoundOrderItem& oi : plan_.order_by) {
+          const int p = oi.proj_index;
+          const int c = p >= 0 ? a.out[p].Compare(b.out[p])
+                               : a.order_keys[expr].Compare(b.order_keys[expr]);
+          if (p < 0) ++expr;
+          if (c != 0) return oi.desc ? c > 0 : c < 0;
+        }
+        return a.seq < b.seq;
+      };
+      if (n < order.size()) {
+        std::partial_sort(order.begin(), order.begin() + n, order.end(),
+                          before);
+      } else {
+        std::sort(order.begin(), order.end(), before);
+      }
     }
     sql::ResultSet rs;
     rs.column_names = plan_.column_names;
-    size_t n = st.pending.size();
-    if (plan_.limit >= 0) n = std::min(n, static_cast<size_t>(plan_.limit));
     rs.rows.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      rs.rows.push_back(std::move(st.pending[i].out));
+      rs.rows.push_back(std::move(rows[order[i]].out));
     }
     rs.affected_rows = 0;
     return rs;
@@ -428,6 +633,52 @@ class VecSink {
     bool has_arg = false;
     VExpr arg;
   };
+
+  Status EvalKeys(const storage::ColumnChunkView& chunk, const Sel& sel,
+                  std::vector<Vec>* kvecs) const {
+    kvecs->reserve(group_exprs_.size());
+    for (const VExpr& g : group_exprs_) {
+      auto v = EvalVec(g, chunk, sel);
+      if (!v.ok()) return v.status();
+      kvecs->push_back(std::move(v).value());
+    }
+    return Status::OK();
+  }
+
+  /// Creates a group whose first row is chunk row `row`; returns its number.
+  uint32_t NewGroup(SinkState* st, const storage::ColumnChunkView& chunk,
+                    size_t row) const {
+    const auto g = static_cast<uint32_t>(st->num_groups());
+    st->star_counts.push_back(0);
+    st->accums.resize(st->accums.size() + plan_.aggs.size());
+    for (int s : repr_slots_) st->reprs.push_back(chunk.value_at(s, row));
+    st->first_rows.push_back(chunk.base + row);
+    return g;
+  }
+
+  /// Moves group `g` of `src` to the end of `dst`.
+  void AppendGroup(SinkState* dst, SinkState* src, uint32_t g) const {
+    const size_t naggs = plan_.aggs.size();
+    const size_t nrepr = repr_slots_.size();
+    dst->star_counts.push_back(src->star_counts[g]);
+    auto acc = src->accums.begin() + static_cast<ptrdiff_t>(g * naggs);
+    dst->accums.insert(dst->accums.end(), std::make_move_iterator(acc),
+                       std::make_move_iterator(acc + naggs));
+    auto rep = src->reprs.begin() + static_cast<ptrdiff_t>(g * nrepr);
+    dst->reprs.insert(dst->reprs.end(), std::make_move_iterator(rep),
+                      std::make_move_iterator(rep + nrepr));
+    dst->first_rows.push_back(src->first_rows[g]);
+  }
+
+  /// Folds group `g` of `src` into the existing group `tgt` of `dst`.
+  void FoldGroup(SinkState* dst, uint32_t tgt, const SinkState& src,
+                 uint32_t g) const {
+    const size_t naggs = plan_.aggs.size();
+    dst->star_counts[tgt] += src.star_counts[g];
+    for (size_t a = 0; a < naggs; ++a) {
+      dst->accums[tgt * naggs + a].MergeFrom(src.accums[g * naggs + a]);
+    }
+  }
 
   StatusOr<bool> ConsumeRows(SinkState* st,
                              const storage::ColumnChunkView& chunk,
@@ -457,14 +708,7 @@ class VecSink {
       if (plan_.distinct && !st->distinct_seen.insert(pr.out).second) {
         continue;
       }
-      size_t next_expr = 0;
-      for (const BoundOrderItem& oi : plan_.order_by) {
-        if (oi.proj_index >= 0) {
-          pr.order_keys.push_back(pr.out[oi.proj_index]);
-        } else {
-          pr.order_keys.push_back(ovecs[next_expr++].value_at(i));
-        }
-      }
+      for (const Vec& ov : ovecs) pr.order_keys.push_back(ov.value_at(i));
       st->pending.push_back(std::move(pr));
       if (serial && can_stop_early_ &&
           st->pending.size() >= static_cast<size_t>(plan_.limit)) {
@@ -479,23 +723,13 @@ class VecSink {
                                   const Sel& sel) const {
     // Global aggregate: one implicit group. The representative tuple is
     // the first selected row (projections may reference raw slots).
-    if (st->groups.empty()) {
-      VGroup g;
-      g.repr.resize(repr_cols_);
-      for (int c = 0; c < repr_cols_; ++c) {
-        if (needed_ == nullptr || (*needed_)[c]) {
-          g.repr[c] = chunk.value_at(c, sel[0]);
-        }
-      }
-      g.accums.resize(plan_.aggs.size());
-      st->groups.push_back(std::move(g));
-    }
-    st->groups[0].star_count += static_cast<int64_t>(sel.size());
+    if (st->num_groups() == 0) NewGroup(st, chunk, sel[0]);
+    st->star_counts[0] += static_cast<int64_t>(sel.size());
     for (size_t a = 0; a < agg_args_.size(); ++a) {
       if (!agg_args_[a].has_arg) continue;  // COUNT(*): star_count only
       auto v = EvalVec(agg_args_[a].arg, chunk, sel);
       if (!v.ok()) return v.status();
-      AccumulateVec(&st->groups[0].accums[a], *v);
+      AccumulateVec(&st->accums[a], *v);
     }
     return true;
   }
@@ -504,26 +738,7 @@ class VecSink {
                                    const storage::ColumnChunkView& chunk,
                                    const Sel& sel) const {
     std::vector<Vec> kvecs;
-    kvecs.reserve(group_exprs_.size());
-    for (const VExpr& g : group_exprs_) {
-      auto v = EvalVec(g, chunk, sel);
-      if (!v.ok()) return v.status();
-      kvecs.push_back(std::move(v).value());
-    }
-    auto new_group = [&](size_t row) -> uint32_t {
-      uint32_t g = static_cast<uint32_t>(st->groups.size());
-      VGroup grp;
-      grp.repr.resize(repr_cols_);
-      for (int c = 0; c < repr_cols_; ++c) {
-        if (needed_ == nullptr || (*needed_)[c]) {
-          grp.repr[c] = chunk.value_at(c, row);
-        }
-      }
-      grp.accums.resize(plan_.aggs.size());
-      st->groups.push_back(std::move(grp));
-      return g;
-    };
-
+    OLXP_RETURN_NOT_OK(EvalKeys(chunk, sel, &kvecs));
     std::vector<uint32_t> gidx(sel.size());
     if (single_int_key_) {
       const Vec& kv = kvecs[0];
@@ -531,20 +746,17 @@ class VecSink {
         uint32_t g;
         if (kv.null_at(i)) {
           if (st->null_group == UINT32_MAX) {
-            st->null_group = new_group(sel[i]);
-            st->groups.back().null_key = true;
+            st->null_group = NewGroup(st, chunk, sel[i]);
           }
           g = st->null_group;
         } else {
-          int64_t x = kv.int_at(i);
-          auto [it, inserted] = st->int_groups.try_emplace(x, 0);
-          if (inserted) {
-            it->second = new_group(sel[i]);
-            st->groups.back().ikey = x;
-          }
-          g = it->second;
+          const auto next = static_cast<uint32_t>(st->num_groups());
+          auto [found, inserted] =
+              st->int_groups.FindOrInsert(kv.int_at(i), next);
+          if (inserted) NewGroup(st, chunk, sel[i]);
+          g = found;
         }
-        st->groups[g].star_count++;
+        st->star_counts[g]++;
         gidx[i] = g;
       }
     } else {
@@ -553,13 +765,11 @@ class VecSink {
         key.clear();
         key.reserve(kvecs.size());
         for (const Vec& kv : kvecs) key.push_back(kv.value_at(i));
-        auto [it, inserted] = st->group_index.try_emplace(key, 0);
-        if (inserted) {
-          it->second = new_group(sel[i]);
-          st->groups.back().key = it->first;
-        }
-        uint32_t g = it->second;
-        st->groups[g].star_count++;
+        const auto next = static_cast<uint32_t>(st->num_groups());
+        auto [it, inserted] = st->group_index.try_emplace(key, next);
+        if (inserted) NewGroup(st, chunk, sel[i]);
+        const uint32_t g = it->second;
+        st->star_counts[g]++;
         gidx[i] = g;
       }
     }
@@ -567,22 +777,24 @@ class VecSink {
       if (!agg_args_[a].has_arg) continue;
       auto v = EvalVec(agg_args_[a].arg, chunk, sel);
       if (!v.ok()) return v.status();
-      AccumulateGrouped(st->groups, gidx, a, *v);
+      const sql::AggFunc fn = plan_.aggs[a].fn;
+      AccumulateGrouped(st->accums, plan_.aggs.size(), gidx, a,
+                        fn == sql::AggFunc::kMin || fn == sql::AggFunc::kMax,
+                        *v);
     }
     return true;
   }
 
   const BoundSelect& plan_;
   std::span<const Value> params_;
-  int repr_cols_ = 0;
 
   std::vector<VExpr> group_exprs_;
   std::vector<LoweredAgg> agg_args_;
+  std::vector<int> repr_slots_;     // aggregate mode: slots groups keep
   std::vector<VExpr> proj_exprs_;   // non-agg mode only
   std::vector<VExpr> order_exprs_;  // non-agg mode, one per expr order item
   bool single_int_key_ = false;
   bool can_stop_early_ = false;
-  const std::vector<uint8_t>* needed_ = nullptr;
 };
 
 // LiveRows/ApplyConjuncts live in vexpr.{h,cc}: the scan, hash-build and
@@ -637,11 +849,28 @@ void TraceScanOps(obs::QueryTrace* trace, int table_id, bool has_filters,
   }
 }
 
-/// Appends the sink-side operators (aggregate/project, order, emit) given
-/// the pre-Finish sink cardinality and the final result.
+/// The parallel combine as an operator: `mode` is "partitioned" or
+/// "per-morsel" and `parts` the partitions or per-morsel partials it
+/// combined. Its wall time is elapsed time, not a sum over lanes.
+obs::TraceOp CombineOp(const BoundSelect& plan, const char* mode, size_t parts,
+                       int64_t rows_in, int64_t rows_out, int64_t ns) {
+  obs::TraceOp op;
+  op.op = "combine";
+  op.detail = std::string(mode) + " parts=" + std::to_string(parts);
+  if (plan.aggregate_mode) op.detail += " groups=" + std::to_string(rows_out);
+  op.rows_in = rows_in;
+  op.rows_out = rows_out;
+  op.wall_us = ns / 1000;
+  return op;
+}
+
+/// Appends the sink-side operators (aggregate/project, the parallel combine
+/// when there was one, order, emit) given the pre-Finish sink cardinality
+/// and the final result.
 void TraceSinkOps(obs::QueryTrace* trace, const BoundSelect& plan,
                   int64_t rows_in, int64_t sink_rows, int64_t consume_ns,
-                  int64_t finish_ns, const sql::ResultSet& rs) {
+                  obs::TraceOp* combine, int64_t finish_ns,
+                  const sql::ResultSet& rs) {
   obs::TraceOp sinkop;
   sinkop.op = plan.aggregate_mode ? "aggregate" : "project";
   if (plan.distinct) sinkop.detail = "distinct";
@@ -649,6 +878,7 @@ void TraceSinkOps(obs::QueryTrace* trace, const BoundSelect& plan,
   sinkop.rows_out = sink_rows;
   sinkop.wall_us = consume_ns / 1000;
   trace->ops.push_back(std::move(sinkop));
+  if (combine != nullptr) trace->ops.push_back(std::move(*combine));
   if (!plan.order_by.empty()) {
     obs::TraceOp order;
     order.op = "order";
@@ -671,10 +901,25 @@ void TraceSinkOps(obs::QueryTrace* trace, const BoundSelect& plan,
 int64_t SinkRows(const BoundSelect& plan, const SinkState& st) {
   if (plan.aggregate_mode) {
     // A global aggregate over empty input still emits one row.
-    if (st.groups.empty() && plan.group_by.empty()) return 1;
-    return static_cast<int64_t>(st.groups.size());
+    if (st.num_groups() == 0 && plan.group_by.empty()) return 1;
+    return static_cast<int64_t>(st.num_groups());
   }
   return static_cast<int64_t>(st.pending.size());
+}
+
+/// Folds per-morsel partials in morsel order; `partial_rows` receives the
+/// sink rows they held before the merge (the combine's input).
+SinkState MergePartials(const BoundSelect& plan, const VecSink& sink,
+                        std::vector<SinkState>&& partials,
+                        int64_t* partial_rows) {
+  SinkState merged;
+  for (SinkState& p : partials) {
+    *partial_rows += plan.aggregate_mode
+                         ? static_cast<int64_t>(p.num_groups())
+                         : static_cast<int64_t>(p.pending.size());
+    sink.MergeState(&merged, std::move(p));
+  }
+  return merged;
 }
 
 // ------------------------- morsel fan-out driver ---------------------------
@@ -696,73 +941,146 @@ struct ScanBlocks {
   int64_t skipped = 0;
 };
 
-/// Pins `table` and drives `body` over its chunks from `lanes` execution
-/// lanes; each claimed morsel accumulates into its own SinkState slot in
-/// `partials` (indexed by ordinal, i.e. scan order). Blocks the zone-map
-/// mask built from `preds` refutes are skipped without being decoded.
-/// `body(lane, state, chunk, sel)` runs the per-chunk pipeline; the first
-/// failing status cancels the dispatcher and is returned. Adds live rows
-/// visited to *visited, block counts to *blocks (also recorded on the
-/// table), and reports the fan-out width in *lanes_used.
-template <typename Body>
-Status RunMorselFanOut(const storage::ColumnTable& table,
-                       const VecExecOptions& opts,
-                       std::span<const storage::ZonePred> preds,
-                       std::vector<SinkState>* partials, int* lanes_used,
-                       int64_t* visited, ScanBlocks* blocks, Body&& body) {
-  storage::ColumnTable::ScanPin pin(table);
-  const std::vector<uint8_t> skip = pin.ComputeSkipMask(preds);
-  MorselDispatcher dispatcher(pin.total_slots(),
-                              NormalizedMorselRows(opts.morsel_rows));
-  const int lanes = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(opts.pool->lanes()),
-      std::max<size_t>(1, dispatcher.morsel_count())));
-  partials->clear();
-  partials->resize(dispatcher.morsel_count());
-  std::vector<Status> lane_status(lanes, Status::OK());
-  std::vector<int64_t> lane_visited(lanes, 0);
-  std::vector<ScanBlocks> lane_blocks(lanes);
-  opts.pool->Run(lanes, [&](int lane) {
-    MorselDispatcher::Morsel m;
-    while (dispatcher.Next(&m)) {
-      SinkState* st = &(*partials)[m.ordinal];
-      for (size_t off = 0; off < m.rows; off += kVecChunkRows) {
-        // Morsel bases are multiples of the (normalized) chunk size, so
-        // every chunk maps to exactly one kBlockSlots-aligned mask entry.
-        const size_t b = (m.base + off) / storage::kBlockSlots;
-        if (b < skip.size() && skip[b] != 0) {
-          ++lane_blocks[lane].skipped;
-          continue;
-        }
-        ++lane_blocks[lane].scanned;
-        storage::ColumnChunkView chunk =
-            pin.Chunk(m.base + off, std::min(kVecChunkRows, m.rows - off));
-        Sel sel = LiveRows(chunk);
-        lane_visited[lane] += static_cast<int64_t>(sel.size());
-        Status st2 = body(lane, st, chunk, sel);
-        if (!st2.ok()) {
-          lane_status[lane] = st2;
-          dispatcher.Cancel();
+/// A table pinned for a morsel-driven scan: the zone-map skip mask, the
+/// morsel decomposition, the lane clamp and per-lane visit/block counts.
+/// The pin holds the snapshot for the object's lifetime, so one execution
+/// may fan out more than once over the same chunks (the partitioned combine
+/// revisits them in its second phase).
+class MorselScan {
+ public:
+  MorselScan(const storage::ColumnTable& table, const VecExecOptions& opts,
+             std::span<const storage::ZonePred> preds)
+      : table_(table),
+        opts_(opts),
+        pin_(table),
+        skip_(pin_.ComputeSkipMask(preds)),
+        dispatcher_(pin_.total_slots(),
+                    NormalizedMorselRows(opts.morsel_rows)),
+        lanes_(static_cast<int>(std::min<size_t>(
+            static_cast<size_t>(opts.pool->lanes()),
+            std::max<size_t>(1, dispatcher_.morsel_count())))),
+        lane_visited_(static_cast<size_t>(lanes_), 0),
+        lane_blocks_(static_cast<size_t>(lanes_)) {}
+
+  MorselScan(const MorselScan&) = delete;
+  MorselScan& operator=(const MorselScan&) = delete;
+
+  int lanes() const { return lanes_; }
+  size_t morsel_count() const { return dispatcher_.morsel_count(); }
+  MorselDispatcher::Morsel MorselAt(size_t ordinal) const {
+    return dispatcher_.At(ordinal);
+  }
+  storage::ColumnChunkView Chunk(size_t base, size_t rows) const {
+    return pin_.Chunk(base, rows);
+  }
+
+  /// Every lane claims morsels until none are left, running fn(lane,
+  /// morsel). The first failing status cancels the rest and is returned.
+  template <typename Fn>
+  Status FanOut(Fn&& fn) {
+    std::vector<Status> lane_status(static_cast<size_t>(lanes_),
+                                    Status::OK());
+    opts_.pool->Run(lanes_, [&](int lane) {
+      MorselDispatcher::Morsel m;
+      while (dispatcher_.Next(&m)) {
+        Status st = fn(lane, m);
+        if (!st.ok()) {
+          lane_status[static_cast<size_t>(lane)] = st;
+          dispatcher_.Cancel();
           return;
         }
       }
+    });
+    return FirstError(lane_status);
+  }
+
+  /// Runs fn(lane, i) for every i in [0, n), claimed from a shared cursor
+  /// by up to lanes() lanes. The first failing status stops the claims.
+  template <typename Fn>
+  Status ParallelFor(size_t n, Fn&& fn) {
+    if (n == 0) return Status::OK();
+    const int lanes =
+        static_cast<int>(std::min(static_cast<size_t>(lanes_), n));
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::vector<Status> lane_status(static_cast<size_t>(lanes),
+                                    Status::OK());
+    opts_.pool->Run(lanes, [&](int lane) {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < n && !failed.load(std::memory_order_relaxed);
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        Status st = fn(lane, i);
+        if (!st.ok()) {
+          lane_status[static_cast<size_t>(lane)] = st;
+          failed.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+    return FirstError(lane_status);
+  }
+
+  /// Runs body(chunk, sel) over the live rows of each chunk of `m` the zone
+  /// maps do not refute. Blocks skipped or read and live rows visited count
+  /// toward the scan only when `account` (false on a second pass).
+  template <typename Body>
+  Status ScanMorsel(int lane, const MorselDispatcher::Morsel& m, bool account,
+                    Body&& body) {
+    const auto l = static_cast<size_t>(lane);
+    for (size_t off = 0; off < m.rows; off += kVecChunkRows) {
+      // Morsel bases are multiples of the (normalized) chunk size, so
+      // every chunk maps to exactly one kBlockSlots-aligned mask entry.
+      const size_t b = (m.base + off) / storage::kBlockSlots;
+      if (b < skip_.size() && skip_[b] != 0) {
+        if (account) ++lane_blocks_[l].skipped;
+        continue;
+      }
+      storage::ColumnChunkView chunk =
+          pin_.Chunk(m.base + off, std::min(kVecChunkRows, m.rows - off));
+      Sel sel = LiveRows(chunk);
+      if (account) {
+        ++lane_blocks_[l].scanned;
+        lane_visited_[l] += static_cast<int64_t>(sel.size());
+      }
+      OLXP_RETURN_NOT_OK(body(chunk, sel));
     }
-  });
-  for (const Status& st : lane_status) {
-    if (!st.ok()) return st;
+    return Status::OK();
   }
-  *lanes_used = lanes;
-  for (int64_t v : lane_visited) *visited += v;
-  for (const ScanBlocks& lb : lane_blocks) {
-    blocks->scanned += lb.scanned;
-    blocks->skipped += lb.skipped;
+
+  /// Publishes the scan's accounting (block counts on the table and in
+  /// *blocks, dispatched morsels on the counter); returns live rows
+  /// visited.
+  int64_t Finish(ScanBlocks* blocks) const {
+    int64_t visited = 0;
+    for (int64_t v : lane_visited_) visited += v;
+    for (const ScanBlocks& lb : lane_blocks_) {
+      blocks->scanned += lb.scanned;
+      blocks->skipped += lb.skipped;
+    }
+    table_.RecordScanBlocks(blocks->scanned, blocks->skipped);
+    if (opts_.morsel_counter != nullptr) {
+      opts_.morsel_counter->Add(static_cast<int64_t>(morsel_count()));
+    }
+    return visited;
   }
-  table.RecordScanBlocks(blocks->scanned, blocks->skipped);
-  if (opts.morsel_counter != nullptr) {
-    opts.morsel_counter->Add(static_cast<int64_t>(dispatcher.morsel_count()));
+
+ private:
+  static Status FirstError(const std::vector<Status>& statuses) {
+    for (const Status& st : statuses) {
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
   }
-  return Status::OK();
-}
+
+  const storage::ColumnTable& table_;
+  const VecExecOptions& opts_;
+  storage::ColumnTable::ScanPin pin_;
+  const std::vector<uint8_t> skip_;
+  MorselDispatcher dispatcher_;
+  const int lanes_;
+  std::vector<int64_t> lane_visited_;
+  std::vector<ScanBlocks> lane_blocks_;
+};
 
 /// Serial scan driver shared by the single-table and join-stream paths:
 /// same pin + zone-map skipping as the fan-out, one chunk at a time in
@@ -805,10 +1123,223 @@ StatusOr<int64_t> RunSerialScan(const storage::ColumnTable& table,
 
 // ---------------------------- single-table path ----------------------------
 
+/// How a single-table fan-out combines its lanes' work.
+enum class Combine { kUndecided, kPerMorsel, kPartitioned };
+
+/// Second phase of the partitioned combine: lanes claim key partitions and
+/// aggregate each one serially over its rows in scan order (`parts` holds
+/// each morsel's chunks, in scan order), then finalize its groups. Returns
+/// every partition's finalized rows, each tagged with its group's first
+/// scan slot; *groups receives the group count.
+StatusOr<std::vector<PendingRow>> AggregatePartitions(
+    MorselScan& scan, const VecSink& sink,
+    const std::vector<std::vector<ChunkParts>>& parts, int64_t* groups) {
+  std::vector<SinkState> states(kAggPartitions);
+  std::vector<std::vector<PendingRow>> finals(kAggPartitions);
+  OLXP_RETURN_NOT_OK(scan.ParallelFor(kAggPartitions, [&](int, size_t p) {
+    Sel sel;
+    for (const std::vector<ChunkParts>& morsel_parts : parts) {
+      for (const ChunkParts& cp : morsel_parts) {
+        if (cp.offs[p] == cp.offs[p + 1]) continue;
+        sel.assign(cp.rows.begin() + cp.offs[p],
+                   cp.rows.begin() + cp.offs[p + 1]);
+        auto more = sink.Consume(&states[p], scan.Chunk(cp.base, cp.slots),
+                                 sel, /*serial=*/true);
+        if (!more.ok()) return more.status();
+      }
+    }
+    return sink.FinalizeGroups(states[p], /*seq_by_first_row=*/true,
+                               &finals[p]);
+  }));
+  size_t nrows = 0;
+  for (size_t p = 0; p < kAggPartitions; ++p) {
+    *groups += static_cast<int64_t>(states[p].num_groups());
+    nrows += finals[p].size();
+  }
+  std::vector<PendingRow> rows;
+  rows.reserve(nrows);
+  for (std::vector<PendingRow>& f : finals) {
+    std::move(f.begin(), f.end(), std::back_inserter(rows));
+  }
+  return rows;
+}
+
+/// Morsel-parallel single-table execution. Non-grouped plans and
+/// low-cardinality GROUP BYs build one partial state per morsel and merge
+/// them in morsel order. High-cardinality GROUP BYs take the radix-
+/// partitioned combine instead: lanes split each chunk's selected rows by
+/// key partition (phase 1), then claim partitions and aggregate each one
+/// serially in scan order (phase 2). Every group then sees its rows in
+/// serial order, so the output equals the serial path's bit for bit.
+StatusOr<sql::ResultSet> RunSingleTableParallel(
+    const BoundSelect& plan, const storage::ColumnTable& table,
+    std::span<const VExpr> filters, std::span<const storage::ZonePred> zpreds,
+    const VecSink& sink, const VecExecOptions& opts, VecExecStats* stats) {
+  const bool tracing = opts.trace != nullptr;
+  MorselScan scan(table, opts, zpreds);
+  const size_t morsels = scan.morsel_count();
+  std::vector<LaneTrace> lt(tracing ? static_cast<size_t>(scan.lanes()) : 0);
+  std::vector<SinkState> partials(morsels);
+  std::vector<std::vector<ChunkParts>> parts(morsels);
+
+  // Scans and filters morsel `m`, handing each chunk's selection to `step`.
+  // A second pass over a morsel (first_pass = false) is neither counted nor
+  // traced here: its rows were counted and its time lands in the combine.
+  auto scan_morsel = [&](int lane, const MorselDispatcher::Morsel& m,
+                         bool first_pass, auto&& step) -> Status {
+    return scan.ScanMorsel(
+        lane, m, first_pass,
+        [&](const storage::ColumnChunkView& chunk, Sel& sel) -> Status {
+          const bool timed = tracing && first_pass;
+          int64_t t0 = timed ? NowNanos() : 0;
+          OLXP_RETURN_NOT_OK(ApplyConjuncts(filters, chunk, &sel));
+          if (timed) {
+            LaneTrace& t = lt[static_cast<size_t>(lane)];
+            const int64_t t1 = NowNanos();
+            t.filter_ns += t1 - t0;
+            t.selected += static_cast<int64_t>(sel.size());
+            t0 = t1;
+          }
+          Status st = step(chunk, sel);
+          if (timed) {
+            lt[static_cast<size_t>(lane)].consume_ns += NowNanos() - t0;
+          }
+          return st;
+        });
+  };
+  auto partition_into = [&](size_t ordinal) {
+    return [&, ordinal](const storage::ColumnChunkView& chunk,
+                        const Sel& sel) -> Status {
+      if (sel.empty()) return Status::OK();
+      parts[ordinal].emplace_back();
+      return sink.PartitionRows(chunk, sel, &parts[ordinal].back());
+    };
+  };
+
+  // A grouped plan picks its combine from the first morsel's partial: more
+  // than one group per kRowsPerGroupForPartitioning selected rows takes the
+  // partitioned path. That is a property of the input in scan order, so
+  // every lane count takes the same path. Morsels claimed before the
+  // decision lands are consumed as partials; the partitioned path
+  // partitions them again.
+  std::atomic<Combine> combine{sink.grouped() && morsels > 1
+                                   ? Combine::kUndecided
+                                   : Combine::kPerMorsel};
+  auto decide = [&](int64_t groups, int64_t selected) {
+    combine.store(groups * kRowsPerGroupForPartitioning > selected
+                      ? Combine::kPartitioned
+                      : Combine::kPerMorsel,
+                  std::memory_order_release);
+  };
+  std::vector<uint8_t> as_partial(morsels, 0);
+  const int64_t t_drv = tracing ? NowNanos() : 0;
+  OLXP_RETURN_NOT_OK(scan.FanOut(
+      [&](int lane, const MorselDispatcher::Morsel& m) -> Status {
+        if (combine.load(std::memory_order_acquire) ==
+            Combine::kPartitioned) {
+          return scan_morsel(lane, m, true, partition_into(m.ordinal));
+        }
+        as_partial[m.ordinal] = 1;
+        SinkState* st = &partials[m.ordinal];
+        const bool first = m.ordinal == 0 &&
+                           combine.load(std::memory_order_relaxed) ==
+                               Combine::kUndecided;
+        int64_t selected = 0;
+        OLXP_RETURN_NOT_OK(scan_morsel(
+            lane, m, true,
+            [&](const storage::ColumnChunkView& chunk,
+                const Sel& sel) -> Status {
+              // Once the partitioned combine is chosen this partial is
+              // dropped, so the rest of the morsel is only scanned.
+              if (combine.load(std::memory_order_acquire) ==
+                  Combine::kPartitioned) {
+                return Status::OK();
+              }
+              selected += static_cast<int64_t>(sel.size());
+              auto more = sink.Consume(st, chunk, sel, /*serial=*/false);
+              if (!more.ok()) return more.status();
+              // The first morsel's groups only grow and its selected rows
+              // can grow by at most its unscanned slots: when even that
+              // bound cannot undo a partitioned verdict, decide now.
+              const auto unscanned = static_cast<int64_t>(
+                  m.base + m.rows - (chunk.base + chunk.rows));
+              if (first && static_cast<int64_t>(st->num_groups()) *
+                                   kRowsPerGroupForPartitioning >
+                               selected + unscanned) {
+                decide(static_cast<int64_t>(st->num_groups()), selected);
+              }
+              return Status::OK();
+            }));
+        if (first && combine.load(std::memory_order_relaxed) ==
+                         Combine::kUndecided) {
+          decide(static_cast<int64_t>(st->num_groups()), selected);
+        }
+        return Status::OK();
+      }));
+  ScanBlocks blocks;
+  const int64_t visited = scan.Finish(&blocks);
+  if (stats != nullptr) {
+    stats->rows_scanned += visited;
+    stats->rows_scanned_driver += visited;
+    stats->lanes_used = std::max(stats->lanes_used, scan.lanes());
+    stats->blocks_scanned += blocks.scanned;
+    stats->blocks_skipped += blocks.skipped;
+  }
+  LaneTrace t;
+  if (tracing) {
+    t = SumLanes(lt);
+    opts.trace->lanes = std::max(opts.trace->lanes, scan.lanes());
+    opts.trace->morsels += static_cast<int64_t>(morsels);
+    TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(),
+                 visited, blocks.skipped, t, NowNanos() - t_drv);
+  }
+  const int64_t t_comb = tracing ? NowNanos() : 0;
+
+  if (combine.load(std::memory_order_acquire) != Combine::kPartitioned) {
+    int64_t partial_rows = 0;
+    SinkState merged =
+        MergePartials(plan, sink, std::move(partials), &partial_rows);
+    if (!tracing) return sink.Finish(std::move(merged));
+    const int64_t sink_rows = SinkRows(plan, merged);
+    obs::TraceOp comb = CombineOp(plan, "per-morsel", morsels, partial_rows,
+                                  sink_rows, NowNanos() - t_comb);
+    const int64_t t_fin = NowNanos();
+    auto rs = sink.Finish(std::move(merged));
+    if (!rs.ok()) return rs.status();
+    TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns, &comb,
+                 NowNanos() - t_fin, *rs);
+    return rs;
+  }
+
+  if (opts.partitioned_counter != nullptr) opts.partitioned_counter->Add(1);
+  partials.clear();
+  std::vector<size_t> redo;
+  for (size_t m = 0; m < morsels; ++m) {
+    if (as_partial[m] != 0) redo.push_back(m);
+  }
+  OLXP_RETURN_NOT_OK(scan.ParallelFor(redo.size(), [&](int lane, size_t i) {
+    return scan_morsel(lane, scan.MorselAt(redo[i]), false,
+                       partition_into(redo[i]));
+  }));
+  int64_t ngroups = 0;
+  auto rows_or = AggregatePartitions(scan, sink, parts, &ngroups);
+  if (!rows_or.ok()) return rows_or.status();
+  std::vector<PendingRow> rows = std::move(rows_or).value();
+  if (!tracing) return sink.Emit(std::move(rows), /*by_seq=*/true);
+  obs::TraceOp comb = CombineOp(plan, "partitioned", kAggPartitions,
+                                t.selected, ngroups, NowNanos() - t_comb);
+  const int64_t t_fin = NowNanos();
+  auto rs = sink.Emit(std::move(rows), /*by_seq=*/true);
+  if (!rs.ok()) return rs.status();
+  TraceSinkOps(opts.trace, plan, t.selected, ngroups, t.consume_ns, &comb,
+               NowNanos() - t_fin, *rs);
+  return rs;
+}
+
 StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
                                         std::span<const Value> params,
                                         const storage::ColumnTable& table,
-                                        VecSink& sink,
+                                        const VecSink& sink,
                                         const VecExecOptions& opts,
                                         VecExecStats* stats) {
   std::vector<VExpr> filters;
@@ -819,63 +1350,17 @@ StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
     filters.push_back(std::move(lowered).value());
   }
 
-  // Zone-refutable bounds from the scan conjuncts: both drivers consult
-  // the pinned blocks' zone maps through the same mask, so serial and
-  // parallel scans skip identically.
+  // Zone-refutable bounds from the scan conjuncts: the serial and the
+  // parallel scan consult the pinned blocks' zone maps through the same
+  // mask, so they skip identically.
   const std::vector<storage::ZonePred> zpreds = ExtractZonePreds(filters);
 
-  const bool tracing = opts.trace != nullptr;
   if (UseParallel(opts, sink)) {
-    std::vector<SinkState> partials;
-    int lanes = 1;
-    int64_t visited = 0;
-    ScanBlocks blocks;
-    std::vector<LaneTrace> lt(
-        tracing ? static_cast<size_t>(opts.pool->lanes()) : 0);
-    const int64_t t_drv = tracing ? NowNanos() : 0;
-    OLXP_RETURN_NOT_OK(RunMorselFanOut(
-        table, opts, zpreds, &partials, &lanes, &visited, &blocks,
-        [&](int lane, SinkState* st, const storage::ColumnChunkView& chunk,
-            Sel& sel) -> Status {
-          int64_t t0 = tracing ? NowNanos() : 0;
-          OLXP_RETURN_NOT_OK(ApplyConjuncts(filters, chunk, &sel));
-          if (tracing) {
-            LaneTrace& t = lt[static_cast<size_t>(lane)];
-            const int64_t t1 = NowNanos();
-            t.filter_ns += t1 - t0;
-            t.selected += static_cast<int64_t>(sel.size());
-            t0 = t1;
-          }
-          auto more = sink.Consume(st, chunk, sel, /*serial=*/false);
-          if (tracing) {
-            lt[static_cast<size_t>(lane)].consume_ns += NowNanos() - t0;
-          }
-          return more.ok() ? Status::OK() : more.status();
-        }));
-    if (stats != nullptr) {
-      stats->rows_scanned += visited;
-      stats->rows_scanned_driver += visited;
-      stats->lanes_used = std::max(stats->lanes_used, lanes);
-      stats->blocks_scanned += blocks.scanned;
-      stats->blocks_skipped += blocks.skipped;
-    }
-    SinkState merged;
-    for (SinkState& p : partials) sink.MergeState(&merged, std::move(p));
-    if (!tracing) return sink.Finish(std::move(merged));
-    const LaneTrace t = SumLanes(lt);
-    opts.trace->lanes = std::max(opts.trace->lanes, lanes);
-    opts.trace->morsels += static_cast<int64_t>(partials.size());
-    TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(),
-                 visited, blocks.skipped, t, NowNanos() - t_drv);
-    const int64_t sink_rows = SinkRows(plan, merged);
-    const int64_t t_fin = NowNanos();
-    auto rs = sink.Finish(std::move(merged));
-    if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns,
-                 NowNanos() - t_fin, *rs);
-    return rs;
+    return RunSingleTableParallel(plan, table, filters, zpreds, sink, opts,
+                                  stats);
   }
 
+  const bool tracing = opts.trace != nullptr;
   SinkState state;
   LaneTrace t;
   ScanBlocks blocks;
@@ -911,7 +1396,7 @@ StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
   const int64_t t_fin = NowNanos();
   auto rs = sink.Finish(std::move(state));
   if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns,
+  TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns, nullptr,
                NowNanos() - t_fin, *rs);
   return rs;
 }
@@ -1079,15 +1564,6 @@ class JoinPipeline {
   bool serial_;
 };
 
-/// Marks every slot referenced by the subtree in `mask`.
-void MarkSlots(const BoundExpr& e, std::vector<uint8_t>* mask) {
-  if (e.kind == sql::BKind::kSlot && e.slot >= 0 &&
-      static_cast<size_t>(e.slot) < mask->size()) {
-    (*mask)[e.slot] = 1;
-  }
-  for (const auto& c : e.children) MarkSlots(*c, mask);
-}
-
 /// Whether streaming the other side of a two-table join preserves the
 /// interpreter parity contract. Swapping changes the emission order, which
 /// is visible through (a) LIMIT without a full sort picking a different row
@@ -1122,7 +1598,7 @@ bool SwapPreservesParity(const BoundSelect& plan) {
 StatusOr<sql::ResultSet> RunHashJoin(
     const BoundSelect& plan, std::span<const Value> params,
     const std::vector<const storage::ColumnTable*>& tables,
-    std::span<const ValueType> slot_types, VecSink& sink,
+    std::span<const ValueType> slot_types, const VecSink& sink,
     const VecExecOptions& opts, VecExecStats* stats) {
   const size_t nsteps = plan.steps.size();
   std::vector<JoinStepPlan> cls(nsteps);
@@ -1173,7 +1649,6 @@ StatusOr<sql::ResultSet> RunHashJoin(
       first_level = false;
     }
   }
-  sink.set_needed_slots(&needed);
 
   // Stream-side local filters (evaluated on the raw chunk).
   std::vector<const BoundExpr*> stream_locals;
@@ -1298,62 +1773,69 @@ StatusOr<sql::ResultSet> RunHashJoin(
     // Parallel probe fan-out: every lane owns a pipeline (its own batch
     // buffers and stats) over the shared immutable levels, and each morsel
     // of the stream table accumulates into its own partial sink state.
-    const int max_lanes = opts.pool->lanes();
-    std::vector<VecExecStats> lane_stats(max_lanes);
+    MorselScan scan(*tables[stream], opts, zpreds);
+    const auto lanes = static_cast<size_t>(scan.lanes());
+    std::vector<VecExecStats> lane_stats(lanes);
     // Pipelines (and their per-level batch buffers) are built lazily on a
-    // lane's first morsel: RunMorselFanOut may clamp to far fewer lanes
-    // than the pool offers. Each lane only ever touches its own slot.
-    std::vector<std::unique_ptr<JoinPipeline>> pipelines(max_lanes);
-    std::vector<SinkState> partials;
-    int lanes = 1;
-    int64_t visited = 0;
-    ScanBlocks blocks;
-    std::vector<LaneTrace> lt(tracing ? static_cast<size_t>(max_lanes) : 0);
+    // lane's first morsel. Each lane only ever touches its own slot.
+    std::vector<std::unique_ptr<JoinPipeline>> pipelines(lanes);
+    std::vector<SinkState> partials(scan.morsel_count());
+    std::vector<LaneTrace> lt(tracing ? lanes : 0);
     const int64_t t_drv = tracing ? NowNanos() : 0;
-    OLXP_RETURN_NOT_OK(RunMorselFanOut(
-        *tables[stream], opts, zpreds, &partials, &lanes, &visited, &blocks,
-        [&](int lane, SinkState* st, const storage::ColumnChunkView& chunk,
-            Sel& sel) -> Status {
-          int64_t t0 = tracing ? NowNanos() : 0;
-          OLXP_RETURN_NOT_OK(ApplyConjuncts(stream_filters, chunk, &sel));
-          if (!pipelines[lane]) {
-            pipelines[lane] = std::make_unique<JoinPipeline>(
-                levels, total_slots, sink, &lane_stats[lane],
-                /*serial=*/false);
-          }
-          if (tracing) {
-            LaneTrace& t = lt[static_cast<size_t>(lane)];
-            const int64_t t1 = NowNanos();
-            t.filter_ns += t1 - t0;
-            t.selected += static_cast<int64_t>(sel.size());
-            t0 = t1;
-          }
-          auto more = pipelines[lane]->Probe(st, 0, chunk, sel, stream_copy,
-                                             stream_out);
-          if (tracing) {
-            lt[static_cast<size_t>(lane)].consume_ns += NowNanos() - t0;
-          }
-          return more.ok() ? Status::OK() : more.status();
+    OLXP_RETURN_NOT_OK(scan.FanOut(
+        [&](int lane, const MorselDispatcher::Morsel& m) -> Status {
+          SinkState* st = &partials[m.ordinal];
+          return scan.ScanMorsel(
+              lane, m, /*account=*/true,
+              [&](const storage::ColumnChunkView& chunk, Sel& sel) -> Status {
+                int64_t t0 = tracing ? NowNanos() : 0;
+                OLXP_RETURN_NOT_OK(
+                    ApplyConjuncts(stream_filters, chunk, &sel));
+                if (!pipelines[lane]) {
+                  pipelines[lane] = std::make_unique<JoinPipeline>(
+                      levels, total_slots, sink, &lane_stats[lane],
+                      /*serial=*/false);
+                }
+                if (tracing) {
+                  LaneTrace& t = lt[static_cast<size_t>(lane)];
+                  const int64_t t1 = NowNanos();
+                  t.filter_ns += t1 - t0;
+                  t.selected += static_cast<int64_t>(sel.size());
+                  t0 = t1;
+                }
+                auto more = pipelines[lane]->Probe(st, 0, chunk, sel,
+                                                   stream_copy, stream_out);
+                if (tracing) {
+                  lt[static_cast<size_t>(lane)].consume_ns +=
+                      NowNanos() - t0;
+                }
+                return more.ok() ? Status::OK() : more.status();
+              });
         }));
+    ScanBlocks blocks;
+    const int64_t visited = scan.Finish(&blocks);
     int64_t joined = 0;
     for (const VecExecStats& ls : lane_stats) joined += ls.rows_joined;
     if (stats != nullptr) {
       stats->rows_scanned += visited;
       stats->rows_scanned_driver += visited;
-      stats->lanes_used = std::max(stats->lanes_used, lanes);
+      stats->lanes_used = std::max(stats->lanes_used, scan.lanes());
       stats->rows_joined += joined;
       stats->blocks_scanned += blocks.scanned;
       stats->blocks_skipped += blocks.skipped;
     }
-    SinkState merged;
-    for (SinkState& p : partials) sink.MergeState(&merged, std::move(p));
+    const int64_t t_comb = tracing ? NowNanos() : 0;
+    int64_t partial_rows = 0;
+    SinkState merged =
+        MergePartials(plan, sink, std::move(partials), &partial_rows);
     if (!tracing) return sink.Finish(std::move(merged));
+    const int64_t comb_ns = NowNanos() - t_comb;
     const LaneTrace t = SumLanes(lt);
-    opts.trace->lanes = std::max(opts.trace->lanes, lanes);
-    opts.trace->morsels += static_cast<int64_t>(partials.size());
+    opts.trace->lanes = std::max(opts.trace->lanes, scan.lanes());
+    opts.trace->morsels += static_cast<int64_t>(scan.morsel_count());
     TraceScanOps(opts.trace, plan.steps[stream].table_id,
                  !stream_filters.empty(), visited, blocks.skipped, t,
-                 NowNanos() - t_drv);
+                 t_comb - t_drv);
     obs::TraceOp probe;
     probe.op = "probe";
     probe.detail = std::to_string(levels.size()) + " levels";
@@ -1362,11 +1844,13 @@ StatusOr<sql::ResultSet> RunHashJoin(
     probe.wall_us = t.consume_ns / 1000;  // includes the sink consume
     opts.trace->ops.push_back(std::move(probe));
     const int64_t sink_rows = SinkRows(plan, merged);
+    obs::TraceOp comb = CombineOp(plan, "per-morsel", scan.morsel_count(),
+                                  partial_rows, sink_rows, comb_ns);
     const int64_t t_fin = NowNanos();
     auto rs = sink.Finish(std::move(merged));
     if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, NowNanos() - t_fin,
-                 *rs);
+    TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, &comb,
+                 NowNanos() - t_fin, *rs);
     return rs;
   }
 
@@ -1425,8 +1909,8 @@ StatusOr<sql::ResultSet> RunHashJoin(
   const int64_t t_fin = NowNanos();
   auto rs = sink.Finish(std::move(state));
   if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, NowNanos() - t_fin,
-               *rs);
+  TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, nullptr,
+               NowNanos() - t_fin, *rs);
   return rs;
 }
 

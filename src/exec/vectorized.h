@@ -25,12 +25,20 @@
 ///
 /// With a WorkerPool attached (profile knob exec_threads > 1) scans run
 /// morsel-driven in parallel: execution lanes claim fixed-size morsels of
-/// the pinned table, run the scan -> filter -> partial-sink (or hash-join
-/// probe) pipeline independently, and the per-morsel partial states merge
-/// in morsel order in a final single-threaded combine — so output rows,
-/// group creation order and group-representative tuples reproduce the
-/// serial scan exactly at every lane count. Hash-join build sides stay
-/// serial (the shared build table is immutable during the probe fan-out).
+/// the pinned table and run the scan -> filter -> sink (or hash-join
+/// probe) pipeline independently. The lanes' work combines one of two
+/// ways, so output rows, group creation order and group-representative
+/// tuples reproduce the serial scan at every lane count:
+///  - per-morsel partials: each morsel fills its own partial state and the
+///    partials merge in morsel order on the calling thread (projections,
+///    global and low-cardinality aggregates, every hash-join plan);
+///  - radix-partitioned (single-table GROUP BY whose first morsel makes
+///    more than one group per 8 selected rows): lanes split each chunk's
+///    selected rows by key partition, then claim partitions and aggregate
+///    each serially in scan order. Every group sees its rows in serial
+///    order, so this path equals the serial result bit for bit.
+/// Hash-join build sides stay serial (the shared build table is immutable
+/// during the probe fan-out).
 
 namespace olxp::exec {
 
@@ -117,6 +125,9 @@ struct VecExecOptions {
   obs::QueryTrace* trace = nullptr;
   /// Optional counter bumped once per dispatched morsel (exec.morsels).
   obs::Counter* morsel_counter = nullptr;
+  /// Optional counter bumped once per execution whose GROUP BY took the
+  /// radix-partitioned combine (exec.agg.partitioned).
+  obs::Counter* partitioned_counter = nullptr;
 };
 
 /// Executes a vectorizable SELECT against the columnar replica. The result

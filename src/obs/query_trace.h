@@ -11,9 +11,10 @@ namespace olxp::obs {
 /// Parallel vectorized operators report the per-morsel rollup: rows summed
 /// over every lane, wall time summed over lane-local work (so wall_us can
 /// exceed the statement's elapsed time — that is the point: it is the work
-/// the lanes overlapped).
+/// the lanes overlapped). The exception is "combine", the merge of the
+/// lanes' work after a parallel scan: its wall time is elapsed time.
 struct TraceOp {
-  std::string op;      ///< scan/filter/join-build/probe/agg/order/limit/emit
+  std::string op;  ///< scan/filter/join-build/probe/aggregate/combine/...
   std::string detail;  ///< table name, join level, lane id, ...
   int64_t rows_in = 0;
   int64_t rows_out = 0;

@@ -258,6 +258,8 @@ TEST_F(ObsEngineTest, TracingChangesNoResults) {
       // tracing (and the skip accounting it surfaces) must not perturb the
       // result.
       "SELECT COUNT(*), SUM(v) FROM m WHERE k < 100",
+      // One group per row: the radix-partitioned combine.
+      "SELECT k, SUM(w) AS s FROM m GROUP BY k ORDER BY s DESC LIMIT 9",
   };
   for (bool vectorized : {true, false}) {
     db.set_vectorized_execution(vectorized);
@@ -281,6 +283,52 @@ TEST_F(ObsEngineTest, TracingChangesNoResults) {
       s->set_trace_level(0);
     }
   }
+}
+
+/// The parallel combine is an operator of its own: a high-cardinality
+/// GROUP BY reports the partitioned mode with its partition and group
+/// counts, bumps exec.agg.partitioned, and returns exactly the untraced
+/// result; a low-cardinality one reports the per-morsel merge.
+TEST_F(ObsEngineTest, CombineIsTracedAndPartitionedPathCounted) {
+  engine::Database db(Profile());
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  RunMixedWorkload(db, *s);
+
+  auto combine_of = [&]() -> const obs::TraceOp* {
+    for (const obs::TraceOp& op : s->last_trace().ops) {
+      if (op.op == "combine") return &op;
+    }
+    return nullptr;
+  };
+  const std::string high = "SELECT k, SUM(w), MIN(v) FROM m GROUP BY k";
+  obs::Counter* partitioned = db.metrics().GetCounter("exec.agg.partitioned");
+  const int64_t before = partitioned->Value();
+  auto plain = s->Execute(high);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  s->set_trace_level(1);
+  auto traced = s->Execute(high);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  EXPECT_EQ(partitioned->Value(), before + 2);
+  ASSERT_EQ(traced->rows.size(), plain->rows.size());
+  for (size_t r = 0; r < plain->rows.size(); ++r) {
+    EXPECT_EQ(traced->rows[r][0].AsInt(), plain->rows[r][0].AsInt());
+    EXPECT_TRUE(traced->rows[r][1].AsDouble() == plain->rows[r][1].AsDouble())
+        << "row " << r;
+    EXPECT_EQ(traced->rows[r][2].AsInt(), plain->rows[r][2].AsInt());
+  }
+  const obs::TraceOp* comb = combine_of();
+  ASSERT_NE(comb, nullptr) << s->last_trace().ToString();
+  EXPECT_EQ(comb->detail, "partitioned parts=16 groups=3000");
+  EXPECT_EQ(comb->rows_out, 3000);
+
+  ASSERT_TRUE(s->Execute("SELECT v, COUNT(*) FROM m GROUP BY v").ok());
+  comb = combine_of();
+  ASSERT_NE(comb, nullptr) << s->last_trace().ToString();
+  EXPECT_EQ(comb->detail.rfind("per-morsel parts=3 ", 0), 0u) << comb->detail;
+  EXPECT_EQ(partitioned->Value(), before + 2);
+  s->set_trace_level(0);
+  EXPECT_NE(db.StatsJson().find("exec.agg.partitioned"), std::string::npos);
 }
 
 TEST_F(ObsEngineTest, ExplainAnalyzeReturnsTraceAndExecutesInner) {

@@ -1,8 +1,10 @@
 // Morsel-driven parallel vectorized execution: worker-pool/dispatcher
 // mechanics, partial-aggregate merge stress (skewed and high-cardinality
-// group keys), the parallel cost term in the router, teardown ordering of
-// the pool against the background sweepers, and the OLXP_EXEC_THREADS
-// environment override CI uses to force the pool onto every test.
+// group keys), the radix-partitioned GROUP BY combine (bit-exact with the
+// serial run, top-K tie order, path choice), the parallel cost term in the
+// router, teardown ordering of the pool against the background sweepers,
+// and the OLXP_EXEC_THREADS environment override CI uses to force the pool
+// onto every test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -254,6 +256,174 @@ TEST(ParallelAgg, CompositeAndNullKeysMergeExactly) {
     ASSERT_TRUE(par.ok());
     EXPECT_TRUE(s->last_vectorized());
     EXPECT_EQ(Stringify(*par), Stringify(*serial));
+  }
+}
+
+// ------------------------ partitioned GROUP BY combine ---------------------
+
+/// Exact equality: same types and payloads, doubles compared with ==, so a
+/// last-bit difference in a floating-point sum fails (Stringify would
+/// round it away).
+void ExpectBitIdentical(const sql::ResultSet& got, const sql::ResultSet& want) {
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (size_t r = 0; r < want.rows.size(); ++r) {
+    ASSERT_EQ(got.rows[r].size(), want.rows[r].size()) << "row " << r;
+    for (size_t c = 0; c < want.rows[r].size(); ++c) {
+      const Value& g = got.rows[r][c];
+      const Value& w = want.rows[r][c];
+      ASSERT_EQ(g.type(), w.type()) << "row " << r << " col " << c;
+      if (w.type() == ValueType::kDouble) {
+        EXPECT_TRUE(g.AsDouble() == w.AsDouble())
+            << "row " << r << " col " << c << ": " << g.AsDouble()
+            << " != " << w.AsDouble();
+      } else {
+        EXPECT_EQ(g.ToString(), w.ToString()) << "row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+int64_t PartitionedCount(engine::Database& db) {
+  return db.metrics().GetCounter("exec.agg.partitioned")->Value();
+}
+
+/// The subench Q5 shape (top revenue items over order lines): 50k rows,
+/// 5000 integer keys, random double values. At every lane count and morsel
+/// size the result equals the serial run bit for bit, for the top-K query
+/// and for the full group list in creation order.
+TEST(PartitionedAgg, HighCardinalityMatchesSerialBitForBit) {
+  for (size_t morsel_rows : {size_t{1024}, size_t{4096}}) {
+    SCOPED_TRACE("morsel_rows=" + std::to_string(morsel_rows));
+    auto p = ParallelProfile(1);
+    p.morsel_rows = morsel_rows;
+    engine::Database db(p);
+    auto s = db.CreateSession();
+    s->set_charging_enabled(false);
+    ASSERT_TRUE(s->Execute("CREATE TABLE ol (k INT PRIMARY KEY, item INT, "
+                           "amount DOUBLE)")
+                    .ok());
+    Rng rng(5);
+    for (int k = 0; k < 50000; ++k) {
+      ASSERT_TRUE(
+          s->Execute("INSERT INTO ol VALUES (?, ?, ?)",
+                     {Value::Int(k),
+                      Value::Int(rng.Uniform(int64_t{1}, int64_t{5000})),
+                      Value::Double(rng.Uniform(0.01, 9999.99))})
+              .ok());
+    }
+    db.WaitReplicaCaughtUp();
+    db.replicator().Stop();
+
+    for (const char* q :
+         {"SELECT item, SUM(amount) AS rev FROM ol GROUP BY item "
+          "ORDER BY rev DESC LIMIT 10",
+          "SELECT item, COUNT(*), SUM(amount), MIN(amount), MAX(amount), "
+          "AVG(amount) FROM ol GROUP BY item"}) {
+      SCOPED_TRACE(q);
+      db.set_exec_threads(1);
+      auto serial = s->Execute(q);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_TRUE(s->last_vectorized());
+      for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE("exec_threads=" + std::to_string(threads));
+        db.set_exec_threads(threads);
+        const int64_t before = PartitionedCount(db);
+        auto par = s->Execute(q);
+        ASSERT_TRUE(par.ok()) << par.status().ToString();
+        EXPECT_TRUE(s->last_vectorized());
+        EXPECT_EQ(PartitionedCount(db), before + 1);
+        ExpectBitIdentical(*par, *serial);
+      }
+    }
+  }
+}
+
+/// Top-K over many tied aggregates: ORDER BY s DESC LIMIT k must keep the
+/// tied groups created first, exactly as a stable sort would. Keys first
+/// appear in a shuffled order, so creation order is not key order.
+TEST(PartitionedAgg, TopKTiesKeepFirstCreatedGroups) {
+  engine::Database db(ParallelProfile(1));
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(
+      s->Execute("CREATE TABLE ties (k INT PRIMARY KEY, g INT, v INT)").ok());
+  constexpr int kGroups = 6000;
+  constexpr int kRowsPerGroup = 5;
+  std::vector<int> perm(kGroups);
+  for (int i = 0; i < kGroups; ++i) perm[i] = i;
+  uint64_t lcg = 11;
+  for (int i = kGroups - 1; i > 0; --i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::swap(perm[i], perm[(lcg >> 33) % static_cast<uint64_t>(i + 1)]);
+  }
+  for (int k = 0; k < kGroups * kRowsPerGroup; ++k) {
+    const int g = perm[k % kGroups];
+    ASSERT_TRUE(s->Execute("INSERT INTO ties VALUES (?, ?, ?)",
+                           {Value::Int(k), Value::Int(g), Value::Int(g % 3)})
+                    .ok());
+  }
+  db.WaitReplicaCaughtUp();
+  db.replicator().Stop();
+
+  // Every group with g % 3 == 2 ties at the top sum; the first 25 of them
+  // in creation (first-row) order win.
+  constexpr int kLimit = 25;
+  std::vector<int64_t> want;
+  for (int i = 0; i < kGroups && want.size() < kLimit; ++i) {
+    if (perm[i] % 3 == 2) want.push_back(perm[i]);
+  }
+  const std::string q = "SELECT g, SUM(v) AS s FROM ties GROUP BY g "
+                        "ORDER BY s DESC LIMIT " + std::to_string(kLimit);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("exec_threads=" + std::to_string(threads));
+    db.set_exec_threads(threads);
+    auto rs = s->Execute(q);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_TRUE(s->last_vectorized());
+    ASSERT_EQ(rs->rows.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(rs->rows[i][0].AsInt(), want[i]) << "rank " << i;
+      EXPECT_EQ(rs->rows[i][1].AsInt(), 2 * kRowsPerGroup) << "rank " << i;
+    }
+  }
+}
+
+/// The combine is chosen from the first morsel: a GROUP BY on the primary
+/// key (one group per row) takes the partitioned path, a 7-value key keeps
+/// the per-morsel partials. Both still match the serial run.
+TEST(PartitionedAgg, FirstMorselCardinalityPicksTheCombine) {
+  engine::Database db(ParallelProfile(1));
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(
+      s->Execute("CREATE TABLE pc (k INT PRIMARY KEY, e INT, v INT)").ok());
+  for (int k = 0; k < 20000; ++k) {
+    ASSERT_TRUE(s->Execute("INSERT INTO pc VALUES (?, ?, ?)",
+                           {Value::Int(k), Value::Int(k % 7),
+                            Value::Int(k % 101)})
+                    .ok());
+  }
+  db.WaitReplicaCaughtUp();
+  db.replicator().Stop();
+
+  struct Case {
+    const char* sql;
+    bool partitioned;
+  };
+  for (const Case& c :
+       {Case{"SELECT k, SUM(v) FROM pc GROUP BY k", true},
+        Case{"SELECT e, COUNT(*), SUM(v) FROM pc GROUP BY e", false}}) {
+    SCOPED_TRACE(c.sql);
+    db.set_exec_threads(1);
+    auto serial = s->Execute(c.sql);
+    ASSERT_TRUE(serial.ok());
+    const int64_t serial_count = PartitionedCount(db);
+    db.set_exec_threads(4);
+    auto par = s->Execute(c.sql);
+    ASSERT_TRUE(par.ok());
+    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(PartitionedCount(db), serial_count + (c.partitioned ? 1 : 0));
+    ExpectBitIdentical(*par, *serial);
   }
 }
 
