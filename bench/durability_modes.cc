@@ -30,7 +30,6 @@ engine::EngineProfile DurabilityProfile(storage::DurabilityMode mode,
   p.latency.row_seek_ns = 0;
   p.latency.row_scan_row_ns = 0;
   p.latency.row_analytic_scan_row_ns = 0;
-  p.latency.col_scan_row_ns = 0;
   p.latency.write_ns = 0;
   p.latency.commit_base_ns = 0;
   p.latency.statement_overhead_ns = 0;

@@ -111,7 +111,6 @@ int Main(int argc, char** argv) {
     profile.latency.row_seek_ns = 0;
     profile.latency.row_scan_row_ns = 0;
     profile.latency.row_analytic_scan_row_ns = 0;
-    profile.latency.col_scan_row_ns = 0;
     profile.latency.col_vector_row_ns = 0;
     profile.latency.col_join_build_row_ns = 0;
     profile.latency.col_join_row_ns = 0;

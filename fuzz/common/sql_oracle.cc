@@ -1,4 +1,7 @@
-// Differential SQL oracle: one statement, four execution configurations,
+// Differential SQL oracle: one statement, four execution configurations —
+// the row-store interpreter in a read-only transaction (the reference) and
+// the stand-alone statement at exec_threads 1, 2 and 8, which the router
+// sends to the vectorized replica whenever the engine serves the shape —
 // any disagreement is a bug. This is the logic layer shared by the
 // fuzz_sql_differential target, the corpus replayer and the smoke test;
 // it owns a long-lived seeded Database so per-input cost is one statement,
@@ -14,7 +17,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "engine/session.h"
 #include "exec/vectorized.h"
 #include "tests/result_strings.h"
 
@@ -169,15 +171,14 @@ struct PathRun {
   std::vector<std::string> rows;
 };
 
-PathRun RunPath(Env& env, const std::string& sql, bool vectorized,
+PathRun RunPath(Env& env, const std::string& sql, bool row_store,
                 int threads, bool perturb) {
   PathRun out;
-  out.label = vectorized
-                  ? "vectorized/threads=" + std::to_string(threads)
-                  : "interpreter";
-  env.db->set_vectorized_execution(vectorized);
-  env.db->set_exec_threads(vectorized ? threads : 1);
-  auto rs = env.session->Execute(sql);
+  out.label = row_store ? "row-store"
+                        : "stand-alone/threads=" + std::to_string(threads);
+  env.db->set_exec_threads(threads);
+  auto rs = row_store ? RowStoreExecute(*env.session, sql)
+                      : env.session->Execute(sql);
   out.ok = rs.ok();
   if (!rs.ok()) {
     out.error = rs.status().ToString();
@@ -231,12 +232,11 @@ std::string RunSqlDifferential(const std::string& sql) {
 
   const bool has_limit = HasWord(sql, "LIMIT");
 
-  PathRun interp = RunPath(env, sql, /*vectorized=*/false, 1, false);
-  PathRun serial = RunPath(env, sql, /*vectorized=*/true, 1, true);
-  PathRun par2 = RunPath(env, sql, /*vectorized=*/true, 2, false);
-  PathRun par8 = RunPath(env, sql, /*vectorized=*/true, 8, false);
+  PathRun interp = RunPath(env, sql, /*row_store=*/true, 1, false);
+  PathRun serial = RunPath(env, sql, /*row_store=*/false, 1, true);
+  PathRun par2 = RunPath(env, sql, /*row_store=*/false, 2, false);
+  PathRun par8 = RunPath(env, sql, /*row_store=*/false, 8, false);
   env.db->set_exec_threads(1);
-  env.db->set_vectorized_execution(true);
 
   // 1. Every path must agree on success vs failure.
   for (const PathRun* p : {&serial, &par2, &par8}) {
@@ -256,7 +256,7 @@ std::string RunSqlDifferential(const std::string& sql) {
     }
   }
 
-  // 3. Interpreter vs vectorized: same columns, same row multiset (row
+  // 3. Row store vs stand-alone: same columns, same row multiset (row
   //    order of unordered queries is engine-dependent); LIMIT without a
   //    total order only pins the row count.
   if (serial.columns != interp.columns) {
@@ -335,7 +335,7 @@ std::string Pred(ByteReader& r, int depth) {
         return "NOT (" + Pred(r, depth + 1) + ")";
     }
   }
-  switch (r.Int(0, 6)) {
+  switch (r.Int(0, 8)) {
     case 0: {
       const char* col = r.Pick(kAllCols);
       return std::string(col) + (r.Bool() ? " IS NULL" : " IS NOT NULL");
@@ -361,9 +361,19 @@ std::string Pred(ByteReader& r, int depth) {
       return "d " + std::string(r.Bool() ? "=" : "!=") + " '" +
              std::string(r.Pick(kTags)) + "'";
     case 5:
-      return "e IN (SELECT k FROM u WHERE v " +
+      return "e " + std::string(r.Bool() ? "IN" : "NOT IN") +
+             " (SELECT k FROM u WHERE v " + std::string(r.Pick(kCmpOps)) +
+             " " + std::to_string(r.Int(0, 120)) + ")";
+    case 6:  // aggregate scalar subquery: exactly one row
+      return NumExpr(r, 1) + " " + std::string(r.Pick(kCmpOps)) +
+             " (SELECT " + std::string(r.Pick(kAggs)) + "(v) FROM u WHERE k " +
              std::string(r.Pick(kCmpOps)) + " " +
-             std::to_string(r.Int(0, 120)) + ")";
+             std::to_string(r.Int(-5, 65)) + ")";
+    case 7:  // bare scalar subquery: several rows must fail on every path
+      return std::string(r.Pick(kIntCols)) + " " +
+             std::string(r.Pick(kCmpOps)) + " (SELECT v FROM u WHERE k " +
+             std::string(r.Pick(kCmpOps)) + " " +
+             std::to_string(r.Int(-5, 65)) + ")";
     default:
       return NumExpr(r, 1) + " " + std::string(r.Pick(kCmpOps)) + " " +
              NumExpr(r, 1);

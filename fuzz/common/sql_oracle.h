@@ -10,17 +10,19 @@
 
 namespace olxp::fuzz {
 
-/// Executes one statement against the shared fuzz database through every
-/// execution engine — the row interpreter, the serial vectorized path and
-/// the morsel-parallel path at exec_threads 2 and 8 — and cross-checks the
-/// results (the differential oracle). Returns "" when all paths agree;
-/// otherwise a human-readable divergence report. Statements that fail to
-/// parse/bind are fine (every path must fail identically); only divergence
-/// is an error.
+/// Executes one statement against the shared fuzz database on both stores
+/// — the row-store interpreter inside a read-only transaction (the
+/// reference), and the stand-alone statement at exec_threads 1, 2 and 8,
+/// which runs on the vectorized replica whenever the engine serves it —
+/// and cross-checks the results (the differential oracle). Returns "" when
+/// all paths agree; otherwise a human-readable divergence report.
+/// Statements that fail to parse/bind, or that every path rejects (a
+/// scalar subquery over several rows), are fine; only divergence is an
+/// error.
 ///
 /// Comparison rules mirror tests/exec_test.cc ExpectParity: parallel runs
-/// must equal the serial vectorized run row-for-row (morsel merge order is
-/// deterministic by contract); interpreter vs vectorized compares sorted
+/// must equal the serial run row-for-row (morsel merge order is
+/// deterministic by contract); row store vs stand-alone compares sorted
 /// multisets (hash-group output order is engine-dependent), downgraded to
 /// row-count-only when the statement carries LIMIT (which rows survive a
 /// LIMIT without a total order is engine-dependent too).
@@ -36,7 +38,7 @@ std::string GenerateSql(ByteReader& r);
 /// Aborts the process on divergence.
 int SqlOne(const uint8_t* data, size_t size);
 
-/// Test-only hook: mutates the serial vectorized result before the oracle
+/// Test-only hook: mutates the serial stand-alone result before the oracle
 /// compares it, proving the differential comparison actually fires.
 /// nullptr (default) disables.
 void SetResultPerturberForTest(std::function<void(sql::ResultSet*)> fn);

@@ -193,12 +193,6 @@ std::string Database::MetricsText() {
   return metrics_.Snapshot().ToPrometheusText();
 }
 
-void Database::PruneAllVersions(size_t keep) {
-  for (int id : row_store_.TableIds()) {
-    row_store_.table(id)->PruneVersions(keep);
-  }
-}
-
 Status Database::RecoverFromWal() {
   const std::string& dir = profile_.wal_dir;
   const bool separated = profile_.architecture == StoreArchitecture::kSeparated;

@@ -28,7 +28,9 @@ class Session;
 /// An embedded HTAP database instance configured by an EngineProfile.
 /// Owns the full substrate: row store, lock manager, timestamp oracle,
 /// commit log, columnar replica, replication pipeline, transaction manager,
-/// and (when the profile enables durability) the disk-backed WAL.
+/// and (when the profile enables durability) the disk-backed WAL. Each
+/// store has one executor: Sessions run row-store statements on the sql/
+/// interpreter and replica statements on the vectorized engine (exec/).
 /// Thread-safe: many Sessions execute concurrently against one Database.
 ///
 /// Opening a Database whose profile points `wal_dir` at a directory with
@@ -68,12 +70,6 @@ class Database : public sql::Catalog {
   /// open snapshot) and returns what it reclaimed. The background vacuum
   /// thread runs the same pass every profile().vacuum_interval_us.
   storage::VacuumStats RunVacuum();
-
-  /// DEPRECATED: blindly prunes version chains in every table to the
-  /// newest `keep` versions with no snapshot safety and no index-entry
-  /// maintenance. Kept as a shim for legacy tests; use RunVacuum() (or the
-  /// background vacuum) everywhere else.
-  void PruneAllVersions(size_t keep = 4);
 
   /// Snapshots every table (schemas + committed rows with their commit
   /// timestamps) into the WAL directory and deletes segments the snapshot
@@ -131,16 +127,10 @@ class Database : public sql::Catalog {
   /// Adjusts the simulated cluster size (Fig. 10 scaling bench).
   void set_cluster_nodes(int nodes) { profile_.cluster.num_nodes = nodes; }
 
-  /// Toggles the vectorized columnar engine at runtime (parity tests and
-  /// interpreter-vs-vectorized benches flip this between runs).
-  void set_vectorized_execution(bool on) {
-    profile_.vectorized_execution = on;
-  }
-
   /// Reconfigures intra-query parallelism at runtime: replaces the worker
   /// pool (n <= 1 removes it, restoring the serial path). For tests and
   /// bench ablations only — callers must quiesce in-flight statements
-  /// first, exactly like set_vectorized_execution.
+  /// first.
   void set_exec_threads(int n);
 
   /// Sets the chunked-scan latch-drop granularity on every table (0 = hold

@@ -14,7 +14,6 @@ EngineProfile EngineProfile::MemSqlLike() {
   p.latency.row_seek_ns = 4000;
   p.latency.row_scan_row_ns = 400;
   p.latency.row_analytic_scan_row_ns = 12000;
-  p.latency.col_scan_row_ns = 400;  // unused (no replica)
   p.latency.write_ns = 800;
   p.latency.commit_base_ns = 200000;   // 2PC aggregator -> leaves
   p.latency.statement_overhead_ns = 20000;  // aggregator network hop
@@ -38,7 +37,6 @@ EngineProfile EngineProfile::TiDbLike() {
   p.latency.row_seek_ns = 55000;
   p.latency.row_scan_row_ns = 2500;
   p.latency.row_analytic_scan_row_ns = 60000;
-  p.latency.col_scan_row_ns = 15000;
   p.latency.col_vector_row_ns = 1800;  // TiFlash-style batch execution
   p.latency.col_join_build_row_ns = 2200;  // hash-table insert per build row
   p.latency.col_join_row_ns = 2600;        // per joined tuple materialized
@@ -63,7 +61,6 @@ EngineProfile EngineProfile::OceanBaseLike() {
   p.latency.row_seek_ns = 45000;
   p.latency.row_scan_row_ns = 2000;
   p.latency.row_analytic_scan_row_ns = 40000;
-  p.latency.col_scan_row_ns = 2000;  // unified store
   p.latency.write_ns = 2200;
   p.latency.commit_base_ns = 380000;
   p.latency.statement_overhead_ns = 30000;

@@ -30,9 +30,9 @@ struct LatencyModel {
   /// expensive", §VI-B1): batched random KV reads rather than sequential
   /// block reads.
   int64_t row_analytic_scan_row_ns = 2000;
-  int64_t col_scan_row_ns = 60;      ///< per row visited scanning replica
-  /// Per row visited when the vectorized engine serves the replica scan
-  /// (batch-amortized: no per-row materialization or interpreter dispatch).
+  /// Per row visited by a replica scan (the vectorized engine, the
+  /// replica's only executor: batch-amortized, no per-row materialization
+  /// or interpreter dispatch).
   int64_t col_vector_row_ns = 8;
   /// Per row materialized into a vectorized-join hash table (build side).
   int64_t col_join_build_row_ns = 12;
@@ -96,18 +96,17 @@ struct EngineProfile {
   /// waiting time (§VI-A1). Separated-store engines suffer less (the row
   /// store at least holds rows contiguously).
   double txn_analytical_scan_penalty = 1.0;
-  /// Vectorized columnar execution (src/exec/): stand-alone analytical
-  /// SELECTs routed to the replica that the engine can lower run
-  /// column-at-a-time over raw column vectors instead of through the
-  /// row-at-a-time interpreter. Unsupported shapes (joins, subqueries) fall
-  /// back to the interpreter automatically.
-  bool vectorized_execution = true;
   /// Columnar replica block encoding: sealed blocks compress each column
   /// (string dictionary, integer RLE / bit-packing, flat arrays) and carry
   /// min/max zone maps. Off keeps sealed blocks as boxed raw values — scan
   /// results and block skipping are identical either way (zone maps are
   /// always built); the exec parity suite sweeps both settings.
   bool columnar_encoding = true;
+  /// Stand-alone analytical SELECTs routed to the replica run on the
+  /// vectorized columnar engine (src/exec/), its only executor; a plan the
+  /// engine cannot lower (a non-equi join) or refuses at run time runs on
+  /// the row store instead.
+  ///
   /// Deterministic cost-based routing: an index-backed single-table SELECT
   /// runs on the row store when its estimated cost beats a full replica
   /// sweep (the replica keeps no ordered index). Complements the stochastic

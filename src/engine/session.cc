@@ -16,17 +16,6 @@ namespace olxp::engine {
 
 namespace {
 
-/// Charges `ns` of simulated replica work: `concurrent` is the number of
-/// other analytical scans active when this one started; scans slow each
-/// other sublinearly (bandwidth sharing). Shared by the interpreter and
-/// vectorized column paths so their contention models can never diverge.
-void ChargeReplicaWork(Session* session, const LatencyModel& m, double ns,
-                       int concurrent) {
-  double pressure = 1.0;
-  if (concurrent > 0) pressure += 0.15 * m.scan_contention * concurrent;
-  session->InlineCharge(static_cast<int64_t>(ns * pressure / 1000.0));
-}
-
 /// StorageIface over the transactional row store. Forwards reads/writes to
 /// a Transaction and accounts access costs. FK enforcement happens here when
 /// the profile asks for it.
@@ -234,100 +223,6 @@ class TxnStorage : public sql::StorageIface {
   double scan_penalty_;
 };
 
-/// Read-only StorageIface over the columnar replica snapshot. Analytical
-/// scans here never take row-store locks — the separated-architecture
-/// isolation advantage the paper measures.
-class ColumnSnapshotStorage : public sql::StorageIface {
- public:
-  ColumnSnapshotStorage(Database* db, AccessStats* stats, Session* session)
-      : db_(db), stats_(stats), session_(session) {}
-
-  StatusOr<int> TableId(std::string_view name) const override {
-    return db_->TableId(name);
-  }
-  const storage::TableSchema& GetSchema(int table_id) const override {
-    return db_->GetSchema(table_id);
-  }
-
-  Status ScanTable(int table_id, const RowCallback& cb) override {
-    const storage::ColumnTable* t = db_->column_store().table(table_id);
-    if (t == nullptr) return Status::NotFound("no columnar replica");
-    auto& counter = db_->column_store().active_scans();
-    int concurrent = counter.fetch_add(1, std::memory_order_relaxed);
-    int64_t visited = t->Scan(cb);
-    stats_->col_rows += visited;
-    const LatencyModel& m = db_->profile().latency;
-    ChargeReplicaWork(session_, m,
-                      static_cast<double>(visited) *
-                          static_cast<double>(m.col_scan_row_ns),
-                      concurrent);
-    counter.fetch_sub(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-
-  /// The replica has no ordered pk index: ranges and index lookups degrade
-  /// to filtered full scans (realistic for a column store).
-  Status ScanPkRange(int table_id, const Row& lo, const Row& hi,
-                     const RowCallback& cb) override {
-    const storage::TableSchema& schema = GetSchema(table_id);
-    return ScanTable(table_id, [&](const Row& row) {
-      Row pk = schema.ExtractPrimaryKey(row);
-      if (storage::ComparePrefix(pk, lo.size(), lo) < 0 ||
-          storage::ComparePrefix(pk, hi.size(), hi) > 0) {
-        return true;
-      }
-      return cb(row);
-    });
-  }
-
-  Status IndexLookup(int table_id, int index_id, const Row& key,
-                     std::vector<Row>* out) override {
-    const storage::TableSchema& schema = GetSchema(table_id);
-    const storage::IndexDef& def = schema.indexes()[index_id];
-    return ScanTable(table_id, [&](const Row& row) {
-      Row ikey = schema.ExtractIndexKey(def, row);
-      if (storage::PrefixEq(ikey, key.size(), key)) out->push_back(row);
-      return true;
-    });
-  }
-
-  StatusOr<std::optional<Row>> GetByPk(int table_id, const Row& pk) override {
-    const storage::ColumnTable* t = db_->column_store().table(table_id);
-    if (t == nullptr) return Status::NotFound("no columnar replica");
-    stats_->col_rows += 1;
-    return t->Get(pk);
-  }
-
-  StatusOr<std::optional<Row>> LockAndGet(int, const Row&) override {
-    return Status::Unsupported("columnar replica is read-only");
-  }
-
-  Status Insert(int, Row) override {
-    return Status::Unsupported("columnar replica is read-only");
-  }
-  Status Update(int, Row) override {
-    return Status::Unsupported("columnar replica is read-only");
-  }
-  Status Delete(int, const Row&) override {
-    return Status::Unsupported("columnar replica is read-only");
-  }
-  Status CreateTable(storage::TableSchema) override {
-    return Status::Unsupported("DDL on replica");
-  }
-  Status CreateIndex(std::string_view, storage::IndexDef) override {
-    return Status::Unsupported("DDL on replica");
-  }
-
- private:
-  Database* db_;
-  AccessStats* stats_;
-  Session* session_;
-};
-
-}  // namespace
-
-namespace {
-
 /// Matches (case-insensitively) an `EXPLAIN ANALYZE ` prefix and returns the
 /// inner statement text, or false when the SQL is a plain statement.
 bool StripExplainAnalyze(const std::string& sql, std::string* inner) {
@@ -392,8 +287,8 @@ Session::Session(Database* db)
   obs::MetricsRegistry& m = db->metrics();
   m_statements_ = m.GetCounter("session.statements");
   m_route_col_vec_ = m.GetCounter("router.route.column_vectorized");
-  m_route_col_interp_ = m.GetCounter("router.route.column_interpreter");
   m_route_row_ = m.GetCounter("router.route.row");
+  m_replica_unsupported_ = m.GetCounter("router.replica_unsupported_to_row");
   m_cost_override_ = m.GetCounter("router.cost_overrides_to_row");
   m_stoch_override_ = m.GetCounter("router.stochastic_overrides_to_row");
   m_morsels_ = m.GetCounter("exec.morsels_dispatched");
@@ -472,11 +367,8 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
   const int64_t wall_us = NowMicros() - wall_t0;
   m_statements_->Add(1);
   m_statement_us_->Record(wall_us);
-  if (last_route_ == RoutedStore::kColumnStore) {
-    (last_vectorized_ ? m_route_col_vec_ : m_route_col_interp_)->Add(1);
-  } else {
-    m_route_row_->Add(1);
-  }
+  const bool on_replica = last_route_ == RoutedStore::kColumnStore;
+  (on_replica ? m_route_col_vec_ : m_route_row_)->Add(1);
   const int64_t actual_us = charged_micros_ - charged_before;
   if (predicted_cost_ns_ > 0 && actual_us > 0) {
     // Predicted-vs-actual residual of the deterministic cost comparison,
@@ -487,10 +379,7 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
         std::abs(static_cast<double>(actual_us) - predicted_us) * 100.0 /
         std::max(predicted_us, 1.0)));
   }
-  const char* route = last_route_ == RoutedStore::kColumnStore
-                          ? (last_vectorized_ ? "column/vectorized"
-                                              : "column/interpreter")
-                          : "row/interpreter";
+  const char* route = on_replica ? "column/vectorized" : "row/interpreter";
   if (tracing) {
     last_trace_.route = route;
     last_trace_.total_us = wall_us;
@@ -519,7 +408,6 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
 
   AccessStats stats;
   const bool in_txn = txn_ != nullptr;
-  last_vectorized_ = false;
   bool route_to_column =
       !in_txn && stmt.IsSelect() && !stmt.IsPointRead() &&
       db_->profile().architecture == StoreArchitecture::kSeparated;
@@ -534,6 +422,13 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       route_to_column = false;
       m_stoch_override_->Add(1);
     }
+  }
+  if (route_to_column && !shape.vectorizable) {
+    // The replica has one executor: a plan it cannot lower (a non-equi
+    // join) runs on the row store. Checked after the draw, so the draws a
+    // statement stream consumes do not depend on plan shapes.
+    route_to_column = false;
+    m_replica_unsupported_->Add(1);
   }
 
   // Effective speedup morsel-driven parallelism gives a vectorized plan
@@ -555,9 +450,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       return ct != nullptr ? static_cast<double>(ct->SlotCount()) : 0.0;
     };
     constexpr double kIndexedSelectivity = 0.01;
-    const bool vectorizes =
-        db_->profile().vectorized_execution && shape.vectorizable;
-    // Parallel cost term: a vectorizable replica plan's DRIVING scan fans
+    // Parallel cost term: a replica plan's DRIVING scan fans
     // out over the worker pool, so its estimated cost shrinks by the
     // parallel factor. Early-stop LIMIT plans never fan out (the serial
     // path quits after LIMIT rows) and get no discount; the row store's
@@ -568,8 +461,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     // MorselScan applies — a table smaller than one morsel runs
     // serially and must not be costed as if it fanned out.
     const auto col_parallel_for = [&](double driver_slots) {
-      if (!vectorizes || shape.early_stop_limit ||
-          db_->exec_pool() == nullptr) {
+      if (shape.early_stop_limit || db_->exec_pool() == nullptr) {
         return 1.0;
       }
       const double per_morsel = static_cast<double>(
@@ -579,9 +471,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       return parallel_factor(
           std::min(db_->exec_pool()->lanes(), std::max(1, morsels)));
     };
-    const double col_base_row_ns =
-        vectorizes ? static_cast<double>(m.col_vector_row_ns)
-                   : static_cast<double>(m.col_scan_row_ns);
+    const auto col_row_ns = static_cast<double>(m.col_vector_row_ns);
     if (shape.single_table && shape.indexed_path) {
       // Deterministic cost comparison: the replica serves this plan with a
       // sweep (it keeps no ordered index), but zone maps let it skip sealed
@@ -600,7 +490,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
             slots;
       }
       const double col_ns =
-          live * read_frac * col_base_row_ns / col_parallel_for(slots);
+          live * read_frac * col_row_ns / col_parallel_for(slots);
       const double row_ns =
           static_cast<double>(m.row_seek_ns) +
           std::max(1.0, live * kIndexedSelectivity) *
@@ -636,16 +526,14 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       // hash-table builds — their sweeps included — are single-threaded
       // (HashJoinTable::Build), so they are estimated at the serial rate.
       const double col_parallel = col_parallel_for(slot_rows(stream_id));
-      double col_ns = stream_live * col_base_row_ns / col_parallel +
-                      (total_live - stream_live) * col_base_row_ns;
-      if (vectorizes) {
-        // The vectorized path also charges hashing the build sides and
-        // emitting joined tuples (estimated one per streamed row, the
-        // fk-join shape); the estimate mirrors what execution bills.
-        col_ns += build_live * static_cast<double>(m.col_join_build_row_ns) +
-                  stream_live * static_cast<double>(m.col_join_row_ns) /
-                      col_parallel;
-      }
+      // Execution also charges hashing the build sides and emitting joined
+      // tuples (estimated one per streamed row, the fk-join shape); the
+      // estimate mirrors what execution bills.
+      const double col_ns =
+          stream_live * col_row_ns / col_parallel +
+          (total_live - stream_live) * col_row_ns +
+          build_live * static_cast<double>(m.col_join_build_row_ns) +
+          stream_live * static_cast<double>(m.col_join_row_ns) / col_parallel;
       const double probes = std::max(1.0, driver_live * kIndexedSelectivity);
       const double inner_seeks =
           static_cast<double>(shape.table_ids.size() - 1) *
@@ -663,69 +551,63 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
   }
 
   if (route_to_column) {
-    last_route_ = RoutedStore::kColumnStore;
-    last_snapshot_ts_ = db_->column_store().replicated_ts();
-    if (db_->profile().vectorized_execution && shape.vectorizable) {
-      // Vectorized columnar execution "as of" the replication watermark.
-      const LatencyModel& m = db_->profile().latency;
-      auto& counter = db_->column_store().active_scans();
-      int concurrent = counter.fetch_add(1, std::memory_order_relaxed);
-      exec::VecExecStats vstats;
-      exec::VecExecOptions vopts;
-      vopts.pool = db_->exec_pool();
-      vopts.morsel_rows = db_->profile().morsel_rows;
-      vopts.trace = trace;
-      vopts.morsel_counter = m_morsels_;
-      vopts.partitioned_counter = m_agg_partitioned_;
-      auto rs = exec::ExecuteVectorized(stmt, params, db_->column_store(),
-                                        vopts, &vstats);
-      counter.fetch_sub(1, std::memory_order_relaxed);
-      if (rs.ok()) {
-        // Charge and account only on success: an aborted partial scan
-        // (late unsupported-shape detection) must not double-bill the
-        // statement on top of the interpreter re-execution below.
-        stats.col_rows += vstats.rows_scanned;
-        // Parallel lanes overlap the DRIVING scan and probe in wall-clock
-        // terms — divide those by the same factor the router estimated
-        // with. Hash-join builds (their sweeps included) ran serially and
-        // are charged undivided; with a serial execution lanes_used is 1
-        // and the split is a no-op.
-        const double driver_ns =
-            static_cast<double>(vstats.rows_scanned_driver) *
-                static_cast<double>(m.col_vector_row_ns) +
-            static_cast<double>(vstats.rows_joined) *
-                static_cast<double>(m.col_join_row_ns);
-        const double build_ns =
-            static_cast<double>(vstats.rows_scanned -
-                                vstats.rows_scanned_driver) *
-                static_cast<double>(m.col_vector_row_ns) +
-            static_cast<double>(vstats.rows_built) *
-                static_cast<double>(m.col_join_build_row_ns);
-        const double ns =
-            driver_ns / parallel_factor(vstats.lanes_used) + build_ns;
-        ChargeReplicaWork(this, m, ns, concurrent);
-        last_vectorized_ = true;
-        ChargeStatement(stats);
-        FlushCharge();
-        return rs;
-      }
-      // Fall through to the interpreter on any vectorized-engine error
-      // (unsupported construct discovered at lowering/evaluation time or a
-      // table without a replica): behavior is never lost, and genuine
-      // statement errors resurface with the interpreter's diagnostics.
-      if (trace != nullptr) {
-        // Drop any partial ops the aborted vectorized attempt captured; the
-        // interpreter re-execution below records the statement's real plan.
-        trace->ops.clear();
-        trace->lanes = 1;
-        trace->morsels = 0;
-      }
+    // Vectorized columnar execution "as of" the replication watermark.
+    const LatencyModel& m = db_->profile().latency;
+    auto& counter = db_->column_store().active_scans();
+    const int concurrent = counter.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t snapshot_ts = db_->column_store().replicated_ts();
+    exec::VecExecStats vstats;
+    exec::VecExecOptions vopts;
+    vopts.pool = db_->exec_pool();
+    vopts.morsel_rows = db_->profile().morsel_rows;
+    vopts.trace = trace;
+    vopts.morsel_counter = m_morsels_;
+    vopts.partitioned_counter = m_agg_partitioned_;
+    auto rs = exec::ExecuteVectorized(stmt, params, db_->column_store(), vopts,
+                                      &vstats);
+    counter.fetch_sub(1, std::memory_order_relaxed);
+    if (rs.ok()) {
+      last_route_ = RoutedStore::kColumnStore;
+      last_snapshot_ts_ = snapshot_ts;
+      // Parallel lanes overlap the DRIVING scan and probe in wall-clock
+      // terms — divide those by the same factor the router estimated with.
+      // Hash-join builds (their sweeps included) ran serially and are
+      // charged undivided; with a serial execution lanes_used is 1 and the
+      // split is a no-op.
+      const double driver_ns =
+          static_cast<double>(vstats.rows_scanned_driver) *
+              static_cast<double>(m.col_vector_row_ns) +
+          static_cast<double>(vstats.rows_joined) *
+              static_cast<double>(m.col_join_row_ns);
+      const double build_ns =
+          static_cast<double>(vstats.rows_scanned -
+                              vstats.rows_scanned_driver) *
+              static_cast<double>(m.col_vector_row_ns) +
+          static_cast<double>(vstats.rows_built) *
+              static_cast<double>(m.col_join_build_row_ns);
+      // Concurrent replica scans slow each other sublinearly (bandwidth
+      // sharing).
+      double pressure = 1.0;
+      if (concurrent > 0) pressure += 0.15 * m.scan_contention * concurrent;
+      InlineCharge(static_cast<int64_t>(
+          (driver_ns / parallel_factor(vstats.lanes_used) + build_ns) *
+          pressure / 1000.0));
+      ChargeStatement(stats);
+      FlushCharge();
+      return rs;
     }
-    ColumnSnapshotStorage storage(db_, &stats, this);
-    auto rs = sql::Execute(stmt, params, &storage, trace);
-    ChargeStatement(stats);
-    FlushCharge();
-    return rs;
+    // The engine refused the statement at run time (a mixed-type CASE, a
+    // string predicate, a table without a replica): it re-runs on the row
+    // store, which also reports a genuine statement error with the
+    // interpreter's diagnostics. The aborted attempt charged nothing; drop
+    // the partial ops it traced.
+    m_replica_unsupported_->Add(1);
+    predicted_cost_ns_ = -1;  // the prediction was for the replica side
+    if (trace != nullptr) {
+      trace->ops.clear();
+      trace->lanes = 1;
+      trace->morsels = 0;
+    }
   }
 
   last_route_ = RoutedStore::kRowStore;

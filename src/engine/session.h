@@ -26,17 +26,12 @@ enum class RoutedStore { kRowStore, kColumnStore };
 struct AccessStats {
   int64_t row_seeks = 0;
   int64_t row_rows = 0;   ///< rows visited on the row store
-  int64_t col_rows = 0;   ///< rows visited on the columnar replica
   int64_t writes = 0;
   /// Contention-weighted cost units: raw counts inflated by the number of
   /// analytical scans concurrently sweeping the same table (buffer/latch
   /// pressure model). The latency model charges these, not the raw counts.
   double seek_cost = 0;
   double row_cost = 0;
-  void Reset() {
-    row_seeks = row_rows = col_rows = writes = 0;
-    seek_cost = row_cost = 0;
-  }
 };
 
 /// A client connection: prepared-statement cache, optional open transaction,
@@ -77,12 +72,9 @@ class Session {
   Status Rollback();
   bool InTransaction() const { return txn_ != nullptr; }
 
-  /// Store that served the most recent statement.
+  /// Store that served the most recent statement. The replica's only
+  /// executor is the vectorized engine; the row store's is the interpreter.
   RoutedStore last_route() const { return last_route_; }
-
-  /// True when the most recent statement ran on the vectorized columnar
-  /// engine (false for interpreter execution on either store).
-  bool last_vectorized() const { return last_vectorized_; }
 
   /// Replication watermark the most recent column-store statement executed
   /// "as of" (0 if no statement has routed to the replica yet).
@@ -162,7 +154,6 @@ class Session {
   std::unordered_map<std::string, Prepared> cache_;
   std::list<std::string> lru_;
   RoutedStore last_route_ = RoutedStore::kRowStore;
-  bool last_vectorized_ = false;
   uint64_t last_snapshot_ts_ = 0;
   int64_t charged_micros_ = 0;
   int64_t pending_charge_micros_ = 0;
@@ -178,8 +169,8 @@ class Session {
   // database's registry; hot paths never touch the name map).
   obs::Counter* m_statements_ = nullptr;
   obs::Counter* m_route_col_vec_ = nullptr;
-  obs::Counter* m_route_col_interp_ = nullptr;
   obs::Counter* m_route_row_ = nullptr;
+  obs::Counter* m_replica_unsupported_ = nullptr;
   obs::Counter* m_cost_override_ = nullptr;
   obs::Counter* m_stoch_override_ = nullptr;
   obs::Counter* m_morsels_ = nullptr;

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -325,8 +326,8 @@ struct ChunkParts {
 /// instance serves any number of concurrent execution lanes.
 class VecSink {
  public:
-  VecSink(const BoundSelect& plan, std::span<const Value> params)
-      : plan_(plan), params_(params) {}
+  VecSink(const BoundSelect& plan, const LowerInputs& in)
+      : plan_(plan), in_(in) {}
 
   /// The serial path may stop scanning once LIMIT rows are collected; such
   /// plans never go parallel (a full sweep would waste the early exit).
@@ -341,7 +342,7 @@ class VecSink {
     if (plan_.aggregate_mode) {
       group_exprs_.reserve(plan_.group_by.size());
       for (const auto& g : plan_.group_by) {
-        auto lowered = LowerExprSlots(*g, slot_types, 0, params_);
+        auto lowered = LowerExprSlots(*g, slot_types, 0, in_);
         if (!lowered.ok()) return lowered.status();
         group_exprs_.push_back(std::move(lowered).value());
       }
@@ -349,7 +350,7 @@ class VecSink {
       for (const auto& spec : plan_.aggs) {
         LoweredAgg la;
         if (spec.arg) {
-          auto lowered = LowerExprSlots(*spec.arg, slot_types, 0, params_);
+          auto lowered = LowerExprSlots(*spec.arg, slot_types, 0, in_);
           if (!lowered.ok()) return lowered.status();
           la.has_arg = true;
           la.arg = std::move(lowered).value();
@@ -379,13 +380,13 @@ class VecSink {
     } else {
       proj_exprs_.reserve(plan_.projections.size());
       for (const auto& p : plan_.projections) {
-        auto lowered = LowerExprSlots(*p, slot_types, 0, params_);
+        auto lowered = LowerExprSlots(*p, slot_types, 0, in_);
         if (!lowered.ok()) return lowered.status();
         proj_exprs_.push_back(std::move(lowered).value());
       }
       for (const BoundOrderItem& oi : plan_.order_by) {
         if (oi.proj_index >= 0) continue;
-        auto lowered = LowerExprSlots(*oi.expr, slot_types, 0, params_);
+        auto lowered = LowerExprSlots(*oi.expr, slot_types, 0, in_);
         if (!lowered.ok()) return lowered.status();
         order_exprs_.push_back(std::move(lowered).value());
       }
@@ -536,7 +537,8 @@ class VecSink {
                                                         st.star_counts[g]);
       }
       if (plan_.having) {
-        auto v = sql::EvalBound(*plan_.having, tuple, params_, &agg_values);
+        auto v = sql::EvalBound(*plan_.having, tuple, in_.params, &agg_values,
+                                in_.subqueries);
         if (!v.ok()) return v.status();
         if (!v->AsBool()) continue;
       }
@@ -544,13 +546,15 @@ class VecSink {
       pr.seq = seq_by_first_row ? st.first_rows[g] : g;
       pr.out.reserve(plan_.projections.size());
       for (const auto& p : plan_.projections) {
-        auto v = sql::EvalBound(*p, tuple, params_, &agg_values);
+        auto v = sql::EvalBound(*p, tuple, in_.params, &agg_values,
+                                in_.subqueries);
         if (!v.ok()) return v.status();
         pr.out.push_back(std::move(v).value());
       }
       for (const BoundOrderItem& oi : plan_.order_by) {
         if (oi.proj_index >= 0) continue;
-        auto v = sql::EvalBound(*oi.expr, tuple, params_, &agg_values);
+        auto v = sql::EvalBound(*oi.expr, tuple, in_.params, &agg_values,
+                                in_.subqueries);
         if (!v.ok()) return v.status();
         pr.order_keys.push_back(std::move(v).value());
       }
@@ -786,7 +790,7 @@ class VecSink {
   }
 
   const BoundSelect& plan_;
-  std::span<const Value> params_;
+  LowerInputs in_;
 
   std::vector<VExpr> group_exprs_;
   std::vector<LoweredAgg> agg_args_;
@@ -1337,15 +1341,16 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
 }
 
 StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
-                                        std::span<const Value> params,
+                                        const LowerInputs& in,
                                         const storage::ColumnTable& table,
                                         const VecSink& sink,
                                         const VecExecOptions& opts,
                                         VecExecStats* stats) {
+  const std::vector<ValueType> types = SchemaTypes(table.schema());
   std::vector<VExpr> filters;
   filters.reserve(plan.steps[0].filters.size());
   for (const auto& f : plan.steps[0].filters) {
-    auto lowered = LowerExpr(*f, table.schema(), params);
+    auto lowered = LowerExprSlots(*f, types, 0, in);
     if (!lowered.ok()) return lowered.status();
     filters.push_back(std::move(lowered).value());
   }
@@ -1596,7 +1601,7 @@ bool SwapPreservesParity(const BoundSelect& plan) {
 }
 
 StatusOr<sql::ResultSet> RunHashJoin(
-    const BoundSelect& plan, std::span<const Value> params,
+    const BoundSelect& plan, const LowerInputs& in,
     const std::vector<const storage::ColumnTable*>& tables,
     std::span<const ValueType> slot_types, const VecSink& sink,
     const VecExecOptions& opts, VecExecStats* stats) {
@@ -1662,7 +1667,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
   std::vector<VExpr> stream_filters;
   stream_filters.reserve(stream_locals.size());
   for (const BoundExpr* f : stream_locals) {
-    auto lowered = LowerExprSlots(*f, stream_types, sstep.base, params);
+    auto lowered = LowerExprSlots(*f, stream_types, sstep.base, in);
     if (!lowered.ok()) return lowered.status();
     stream_filters.push_back(std::move(lowered).value());
   }
@@ -1711,7 +1716,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
     std::vector<VExpr> build_filters;
     build_filters.reserve(blocals.size());
     for (const BoundExpr* f : blocals) {
-      auto lowered = LowerExprSlots(*f, btypes, bstep.base, params);
+      auto lowered = LowerExprSlots(*f, btypes, bstep.base, in);
       if (!lowered.ok()) return lowered.status();
       build_filters.push_back(std::move(lowered).value());
     }
@@ -1721,22 +1726,21 @@ StatusOr<sql::ResultSet> RunHashJoin(
     for (const JoinKey& jk : c.keys) {
       const BoundExpr* build_side = swapped ? jk.probe : jk.build;
       const BoundExpr* probe_side = swapped ? jk.build : jk.probe;
-      auto b = LowerExprSlots(*build_side, btypes, bstep.base, params);
+      auto b = LowerExprSlots(*build_side, btypes, bstep.base, in);
       if (!b.ok()) return b.status();
       build_keys.push_back(std::move(b).value());
       // The first level's probe keys run against the raw stream chunk (its
       // keys reference only stream slots); deeper levels run in slot
       // layout on the joined batch.
       auto p = first_level
-                   ? LowerExprSlots(*probe_side, stream_types, sstep.base,
-                                    params)
-                   : LowerExprSlots(*probe_side, slot_types, 0, params);
+                   ? LowerExprSlots(*probe_side, stream_types, sstep.base, in)
+                   : LowerExprSlots(*probe_side, slot_types, 0, in);
       if (!p.ok()) return p.status();
       level.probe_keys.push_back(std::move(p).value());
     }
     level.residuals.reserve(c.residuals.size());
     for (const BoundExpr* f : c.residuals) {
-      auto lowered = LowerExprSlots(*f, slot_types, 0, params);
+      auto lowered = LowerExprSlots(*f, slot_types, 0, in);
       if (!lowered.ok()) return lowered.status();
       level.residuals.push_back(std::move(lowered).value());
     }
@@ -1914,39 +1918,82 @@ StatusOr<sql::ResultSet> RunHashJoin(
   return rs;
 }
 
-}  // namespace
+/// Executes one SELECT plan (the statement's, or a subquery's) on the
+/// replica. Every subquery of `plan` (the interpreter's expression
+/// positions, sql::ForEachSubquery) runs first, through this engine, into
+/// in.subqueries — before the plan pins any table, so a statement holds one
+/// table's scan latch at a time. A scalar subquery over more than one row
+/// fails the statement there, whether or not a row would evaluate it.
+/// Subplans run untraced; each adds one "subquery" op to the trace.
+StatusOr<sql::ResultSet> RunSelect(const BoundSelect& plan,
+                                   const LowerInputs& in,
+                                   const storage::ColumnStore& store,
+                                   const VecExecOptions& opts,
+                                   VecExecStats* stats) {
+  if (plan.steps.empty()) {
+    return Status::Unsupported("not a vectorizable statement");
+  }
+  if (!in.subqueries->empty()) {
+    VecExecOptions sub_opts = opts;
+    sub_opts.trace = nullptr;
+    OLXP_RETURN_NOT_OK(
+        sql::ForEachSubquery(plan, [&](const BoundExpr& e) -> Status {
+          std::optional<std::vector<Row>>& slot = in.subqueries->at(e.sub_id);
+          if (slot.has_value()) return Status::OK();  // cloned into a key
+          const int64_t t0 = opts.trace != nullptr ? NowNanos() : 0;
+          auto rs = RunSelect(*e.subplan, in, store, sub_opts, stats);
+          if (!rs.ok()) return rs.status();
+          if (e.kind == sql::BKind::kScalarSubquery) {
+            OLXP_RETURN_NOT_OK(sql::ScalarSubqueryValue(rs->rows).status());
+          }
+          if (opts.trace != nullptr) {
+            opts.trace->AddSubquery(e.sub_id,
+                                    static_cast<int64_t>(rs->rows.size()),
+                                    NowNanos() - t0);
+          }
+          slot = std::move(rs->rows);
+          return Status::OK();
+        }));
+  }
 
-bool CanVectorize(const sql::CompiledStatement& stmt) {
-  const auto& impl = stmt.impl();
-  if (impl.kind != sql::StmtKind::kSelect || !impl.select) return false;
-  const BoundSelect& p = *impl.select;
+  std::vector<const storage::ColumnTable*> tables;
+  tables.reserve(plan.steps.size());
+  std::vector<ValueType> slot_types;
+  slot_types.reserve(plan.total_slots);
+  for (const TableStep& step : plan.steps) {
+    const storage::ColumnTable* t = store.table(step.table_id);
+    if (t == nullptr) return Status::NotFound("no columnar replica");
+    tables.push_back(t);
+    std::vector<ValueType> types = SchemaTypes(*step.schema);
+    slot_types.insert(slot_types.end(), types.begin(), types.end());
+  }
+
+  VecSink sink(plan, in);
+  OLXP_RETURN_NOT_OK(sink.Init(slot_types));
+
+  if (plan.steps.size() == 1) {
+    return RunSingleTable(plan, in, *tables[0], sink, opts, stats);
+  }
+  return RunHashJoin(plan, in, tables, slot_types, sink, opts, stats);
+}
+
+bool CanVectorize(const BoundSelect& p) {
   if (p.steps.empty()) return false;
-  for (const auto& step : p.steps) {
-    for (const auto& f : step.filters) {
-      if (sql::ContainsSubquery(*f)) return false;
-    }
-  }
-  for (const auto& g : p.group_by) {
-    if (sql::ContainsSubquery(*g)) return false;
-  }
-  for (const auto& a : p.aggs) {
-    if (a.arg && sql::ContainsSubquery(*a.arg)) return false;
-  }
-  for (const auto& pr : p.projections) {
-    if (sql::ContainsSubquery(*pr)) return false;
-  }
-  if (p.having && sql::ContainsSubquery(*p.having)) return false;
-  for (const BoundOrderItem& oi : p.order_by) {
-    if (oi.expr && sql::ContainsSubquery(*oi.expr)) return false;
-  }
   // Joins: every non-driver step must be reachable through at least one
-  // equi-join conjunct (hash-joinable); anything else stays interpreted.
+  // equi-join conjunct (hash-joinable); anything else runs on the row store.
   for (size_t k = 1; k < p.steps.size(); ++k) {
     JoinStepPlan tmp;
     if (!ClassifyJoinStep(p, k, &tmp)) return false;
   }
-  return true;
+  // Every subquery runs through this engine too.
+  return sql::ForEachSubquery(p, [](const BoundExpr& e) {
+           return CanVectorize(*e.subplan)
+                      ? Status::OK()
+                      : Status::Unsupported("subquery");
+         }).ok();
 }
+
+}  // namespace
 
 PlanShape InspectPlan(const sql::CompiledStatement& stmt) {
   PlanShape s;
@@ -1974,7 +2021,7 @@ PlanShape InspectPlan(const sql::CompiledStatement& stmt) {
       }
     }
   }
-  s.vectorizable = CanVectorize(stmt);
+  s.vectorizable = CanVectorize(p);
   return s;
 }
 
@@ -1984,31 +2031,12 @@ StatusOr<sql::ResultSet> ExecuteVectorized(const sql::CompiledStatement& stmt,
                                            const VecExecOptions& opts,
                                            VecExecStats* stats) {
   const auto& impl = stmt.impl();
-  if (impl.kind != sql::StmtKind::kSelect || !impl.select ||
-      impl.select->steps.empty()) {
+  if (impl.kind != sql::StmtKind::kSelect || !impl.select) {
     return Status::Unsupported("not a vectorizable statement");
   }
-  const BoundSelect& plan = *impl.select;
-
-  std::vector<const storage::ColumnTable*> tables;
-  tables.reserve(plan.steps.size());
-  std::vector<ValueType> slot_types;
-  slot_types.reserve(plan.total_slots);
-  for (const TableStep& step : plan.steps) {
-    const storage::ColumnTable* t = store.table(step.table_id);
-    if (t == nullptr) return Status::NotFound("no columnar replica");
-    tables.push_back(t);
-    std::vector<ValueType> types = SchemaTypes(*step.schema);
-    slot_types.insert(slot_types.end(), types.begin(), types.end());
-  }
-
-  VecSink sink(plan, params);
-  OLXP_RETURN_NOT_OK(sink.Init(slot_types));
-
-  if (plan.steps.size() == 1) {
-    return RunSingleTable(plan, params, *tables[0], sink, opts, stats);
-  }
-  return RunHashJoin(plan, params, tables, slot_types, sink, opts, stats);
+  sql::SubqueryRows subqueries(impl.num_subqueries);
+  return RunSelect(*impl.select, LowerInputs{params, &subqueries}, store, opts,
+                   stats);
 }
 
 size_t EstimateScanSlots(const sql::CompiledStatement& stmt,
@@ -2019,11 +2047,12 @@ size_t EstimateScanSlots(const sql::CompiledStatement& stmt,
       impl.select->steps.size() != 1) {
     return table.SlotCount();
   }
+  const std::vector<ValueType> types = SchemaTypes(table.schema());
   std::vector<VExpr> filters;
   filters.reserve(impl.select->steps[0].filters.size());
   for (const auto& f : impl.select->steps[0].filters) {
-    auto lowered = LowerExpr(*f, table.schema(), params);
-    if (!lowered.ok()) return table.SlotCount();  // interpreter-only shape
+    auto lowered = LowerExprSlots(*f, types, 0, LowerInputs{params});
+    if (!lowered.ok()) return table.SlotCount();  // e.g. a subquery
     filters.push_back(std::move(lowered).value());
   }
   const std::vector<storage::ZonePred> preds = ExtractZonePreds(filters);

@@ -18,10 +18,13 @@
 /// vectors: chunked scan -> vectorized filters -> hash joins (build from
 /// the smaller side, probe batch-at-a-time) -> projection / hash
 /// aggregation -> order / limit, skipping the interpreter's per-row Row
-/// materialization and expression walks. The engine::Session cost router
-/// decides when to use it; anything it cannot lower (non-equi joins,
-/// subqueries) falls back to the interpreter, so no statement loses
-/// behavior.
+/// materialization and expression walks. It is the only executor on the
+/// replica: the engine::Session router sends a statement there only when
+/// PlanShape::vectorizable holds, and anything else (non-equi joins, or a
+/// run-time refusal such as a mixed-type CASE) runs on the row store.
+/// Uncorrelated subqueries run first, through this engine, before any
+/// table is pinned: a scalar subquery becomes a literal and an IN
+/// subquery a hashed member set.
 ///
 /// With a WorkerPool attached (profile knob exec_threads > 1) scans run
 /// morsel-driven in parallel: execution lanes claim fixed-size morsels of
@@ -66,6 +69,9 @@ struct PlanShape {
   /// The row store could serve this plan through a pk/secondary-index path
   /// instead of a full scan (the replica cannot: it has no ordered index).
   bool indexed_path = false;
+  /// The vectorized engine can lower the plan: every non-driver table is
+  /// linked to the tables joined before it by an equi-join conjunct
+  /// (hash-joinable), and every subquery's plan is vectorizable in turn.
   bool vectorizable = false;
   /// The serial vectorized path stops scanning once LIMIT rows are
   /// collected (non-aggregate, no ORDER BY, no DISTINCT). Such plans never
@@ -81,11 +87,6 @@ struct PlanShape {
 };
 
 PlanShape InspectPlan(const sql::CompiledStatement& stmt);
-
-/// True when the statement is a SELECT the vectorized engine can lower: no
-/// subqueries anywhere, and every non-driver table linked to the already
-/// joined tables by at least one equi-join conjunct (hash-joinable).
-bool CanVectorize(const sql::CompiledStatement& stmt);
 
 /// Access accounting for the latency model.
 struct VecExecStats {
@@ -131,10 +132,11 @@ struct VecExecOptions {
 };
 
 /// Executes a vectorizable SELECT against the columnar replica. The result
-/// is identical to the interpreter's (the parity suite in tests/exec_test.cc
-/// enforces this, at every exec_threads setting). Returns Unsupported for
-/// constructs detected only at lowering/evaluation time and NotFound when a
-/// table has no replica — callers fall back to the interpreter on any error.
+/// is identical to the row-store interpreter's at the same snapshot (the
+/// parity suite in tests/exec_test.cc enforces this, at every exec_threads
+/// setting). Returns Unsupported for constructs detected only at
+/// lowering/evaluation time and NotFound when a table has no replica; the
+/// session then re-runs the statement on the row store.
 StatusOr<sql::ResultSet> ExecuteVectorized(const sql::CompiledStatement& stmt,
                                            std::span<const Value> params,
                                            const storage::ColumnStore& store,

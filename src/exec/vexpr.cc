@@ -2,11 +2,32 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
+#include <unordered_set>
 
 #include "common/checked_arith.h"
 #include "common/strings.h"
 
 namespace olxp::exec {
+
+/// The distinct non-NULL first-column values of an IN subquery's rows,
+/// hashed per payload family. Membership is Value::Compare equality, as in
+/// the interpreter: integral values match exactly, a DOUBLE on either side
+/// compares as doubles (a NaN equals every number), and strings match
+/// strings only.
+class InSet {
+ public:
+  explicit InSet(const std::vector<Row>& rows);
+  /// Whether the non-NULL row `i` of `v` is a member.
+  bool Contains(const Vec& v, size_t i) const;
+
+ private:
+  std::unordered_set<int64_t> ints_;  ///< INT and TIMESTAMP members
+  std::unordered_set<double> dbls_;   ///< DOUBLE members
+  std::unordered_set<double> nums_;   ///< every numeric member, as a double
+  std::unordered_set<std::string> strs_;
+  bool nan_ = false;  ///< a NaN member
+};
 
 namespace {
 
@@ -451,9 +472,57 @@ Status RequireTruthyCapable(const Vec& v, const char* what) {
 
 }  // namespace
 
+InSet::InSet(const std::vector<Row>& rows) {
+  for (const Row& r : rows) {
+    if (r.empty() || r[0].is_null()) continue;
+    const Value& v = r[0];
+    switch (v.type()) {
+      case ValueType::kInt:
+      case ValueType::kTimestamp:
+        ints_.insert(v.AsInt());
+        nums_.insert(v.AsDouble());
+        break;
+      case ValueType::kDouble:
+        if (std::isnan(v.AsDouble())) {
+          nan_ = true;
+        } else {
+          dbls_.insert(v.AsDouble());
+          nums_.insert(v.AsDouble());
+        }
+        break;
+      case ValueType::kString:
+        strs_.insert(v.AsString());
+        break;
+      case ValueType::kNull:
+        break;
+    }
+  }
+}
+
+bool InSet::Contains(const Vec& v, size_t i) const {
+  switch (v.type) {
+    case ValueType::kInt:
+    case ValueType::kTimestamp: {
+      const int64_t x = v.int_at(i);
+      return nan_ || ints_.contains(x) ||
+             dbls_.contains(static_cast<double>(x));
+    }
+    case ValueType::kDouble: {
+      const double d = v.dbl_at(i);
+      if (std::isnan(d)) return nan_ || !nums_.empty();
+      return nan_ || nums_.contains(d);
+    }
+    case ValueType::kString:
+      return strs_.contains(v.str_at(i));
+    case ValueType::kNull:
+      break;
+  }
+  return false;
+}
+
 StatusOr<VExpr> LowerExprSlots(const sql::BoundExpr& e,
                                std::span<const ValueType> slot_types,
-                               int slot_base, std::span<const Value> params) {
+                               int slot_base, const LowerInputs& in) {
   VExpr out;
   out.kind = e.kind;
   switch (e.kind) {
@@ -462,11 +531,11 @@ StatusOr<VExpr> LowerExprSlots(const sql::BoundExpr& e,
       return out;
     case BKind::kParam:
       if (e.param_index < 0 ||
-          static_cast<size_t>(e.param_index) >= params.size()) {
+          static_cast<size_t>(e.param_index) >= in.params.size()) {
         return Status::InvalidArgument("missing statement parameter");
       }
       out.kind = BKind::kLiteral;
-      out.literal = params[e.param_index];
+      out.literal = in.params[e.param_index];
       return out;
     case BKind::kSlot: {
       const int col = e.slot - slot_base;
@@ -489,27 +558,31 @@ StatusOr<VExpr> LowerExprSlots(const sql::BoundExpr& e,
       break;
     case BKind::kAggRef:
       return Status::Unsupported("aggregate reference in vectorized scan");
-    case BKind::kInSubquery:
     case BKind::kScalarSubquery:
-      return Status::Unsupported("subquery in vectorized plan");
+    case BKind::kInSubquery: {
+      if (in.subqueries == nullptr || !in.subqueries->at(e.sub_id)) {
+        return Status::Unsupported("subquery not run");
+      }
+      const std::vector<Row>& rows = *in.subqueries->at(e.sub_id);
+      if (e.kind == BKind::kInSubquery) {
+        out.in_set = std::make_shared<const InSet>(rows);
+        break;  // the operand lowers below
+      }
+      auto v = sql::ScalarSubqueryValue(rows);
+      if (!v.ok()) return v.status();
+      out.kind = BKind::kLiteral;
+      out.literal = std::move(v).value();
+      return out;
+    }
   }
   out.negated_in = e.negated_in;
   out.children.reserve(e.children.size());
   for (const auto& c : e.children) {
-    auto lowered = LowerExprSlots(*c, slot_types, slot_base, params);
+    auto lowered = LowerExprSlots(*c, slot_types, slot_base, in);
     if (!lowered.ok()) return lowered.status();
     out.children.push_back(std::move(lowered).value());
   }
   return out;
-}
-
-StatusOr<VExpr> LowerExpr(const sql::BoundExpr& e,
-                          const storage::TableSchema& schema,
-                          std::span<const Value> params) {
-  std::vector<ValueType> types;
-  types.reserve(schema.num_columns());
-  for (const auto& c : schema.columns()) types.push_back(c.type);
-  return LowerExprSlots(e, types, /*slot_base=*/0, params);
 }
 
 Sel LiveRows(const storage::ColumnChunkView& chunk) {
@@ -572,9 +645,21 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
     case BKind::kParam:
       return Status::Internal("parameter not folded at lowering");
     case BKind::kAggRef:
-    case BKind::kInSubquery:
     case BKind::kScalarSubquery:
       return Status::Internal("unsupported node survived lowering");
+
+    case BKind::kInSubquery: {
+      // A NULL operand is never a member; NOT IN negates (the interpreter's
+      // two-valued answer).
+      auto v = EvalVec(e.children[0], chunk, sel);
+      if (!v.ok()) return v;
+      Vec out = Vec::Bools(n);
+      for (size_t i = 0; i < n; ++i) {
+        const bool found = !v->null_at(i) && e.in_set->Contains(*v, i);
+        out.ints[i] = found != e.negated_in ? 1 : 0;
+      }
+      return out;
+    }
 
     case BKind::kUnary: {
       auto c = EvalVec(e.children[0], chunk, sel);

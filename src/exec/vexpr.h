@@ -1,6 +1,7 @@
 #ifndef OLXP_EXEC_VEXPR_H_
 #define OLXP_EXEC_VEXPR_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -12,10 +13,13 @@
 
 namespace olxp::exec {
 
-/// A bound expression lowered for vectorized evaluation: parameters are
-/// folded into literals, column references carry their declared type, and
-/// subquery/aggregate-reference nodes are rejected at lowering time (the
-/// router falls back to the interpreter for those shapes).
+/// Members of an IN (subquery), hashed for the membership kernel
+/// (defined in vexpr.cc).
+class InSet;
+
+/// A bound expression lowered for vectorized evaluation: parameters and
+/// scalar subqueries folded into literals, IN subqueries carrying their
+/// member set, column references their declared type.
 struct VExpr {
   sql::BKind kind = sql::BKind::kLiteral;
   Value literal;                          ///< kLiteral (params pre-folded)
@@ -24,25 +28,27 @@ struct VExpr {
   sql::UnaryOp uop = sql::UnaryOp::kNeg;
   sql::BinaryOp bop = sql::BinaryOp::kEq;
   bool negated_in = false;
+  std::shared_ptr<const InSet> in_set;  ///< kInSubquery
   std::vector<VExpr> children;
 };
 
-/// Lowers a bound expression for vectorized evaluation against `schema`
-/// (single-table plans: slot index == column index). Returns Unsupported for
-/// constructs the vectorized engine does not cover (subqueries, aggregate
-/// references) — callers fall back to the interpreter.
-StatusOr<VExpr> LowerExpr(const sql::BoundExpr& e,
-                          const storage::TableSchema& schema,
-                          std::span<const Value> params);
+/// Statement constants lowering folds in: the positional parameters and the
+/// pre-materialized subquery rows (null before any subquery ran).
+struct LowerInputs {
+  std::span<const Value> params;
+  sql::SubqueryRows* subqueries = nullptr;
+};
 
-/// General lowering: slot `s` maps to column `s - slot_base` of a chunk
-/// whose columns have the declared types `slot_types[s - slot_base]`. The
-/// join pipeline uses this twice: with the full joined slot-type vector and
-/// slot_base 0 for probe/residual/sink expressions, and with one table's
-/// column types and that step's slot base for build-side expressions.
+/// Lowers a bound expression for vectorized evaluation: slot `s` maps to
+/// column `s - slot_base` of a chunk whose columns have the declared types
+/// `slot_types[s - slot_base]` (a single-table scan passes its schema's
+/// types and base 0; the join pipeline passes the joined slot types, or
+/// one table's types and its step's slot base). Returns Unsupported for
+/// aggregate references and for subqueries without materialized rows, and
+/// InvalidArgument for a scalar subquery over more than one row.
 StatusOr<VExpr> LowerExprSlots(const sql::BoundExpr& e,
                                std::span<const ValueType> slot_types,
-                               int slot_base, std::span<const Value> params);
+                               int slot_base, const LowerInputs& in);
 
 /// Evaluates `e` over the selected rows of one chunk, producing one logical
 /// row per selection entry. Mirrors the interpreter's Eval semantics

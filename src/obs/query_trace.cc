@@ -4,6 +4,15 @@
 
 namespace olxp::obs {
 
+void QueryTrace::AddSubquery(int sub_id, int64_t rows, int64_t wall_ns) {
+  TraceOp op;
+  op.op = "subquery";
+  op.detail = "id=" + std::to_string(sub_id);
+  op.rows_out = rows;
+  op.wall_us = wall_ns / 1000;
+  ops.push_back(std::move(op));
+}
+
 std::string QueryTrace::ToString() const {
   std::string out =
       StrFormat("EXPLAIN ANALYZE %s\nroute=%s lanes=%d morsels=%lld "

@@ -14,7 +14,7 @@ namespace olxp::obs {
 /// the lanes overlapped). The exception is "combine", the merge of the
 /// lanes' work after a parallel scan: its wall time is elapsed time.
 struct TraceOp {
-  std::string op;  ///< scan/filter/join-build/probe/aggregate/combine/...
+  std::string op;  ///< subquery/scan/filter/join-build/probe/aggregate/...
   std::string detail;  ///< table name, join level, lane id, ...
   int64_t rows_in = 0;
   int64_t rows_out = 0;
@@ -41,6 +41,10 @@ struct QueryTrace {
     total_us = 0;
     ops.clear();
   }
+
+  /// Appends the op of one uncorrelated subquery the executor materialized
+  /// before its first scan: `rows` result rows in `wall_ns`.
+  void AddSubquery(int sub_id, int64_t rows, int64_t wall_ns);
 
   /// Result rows of the final (emit) operator; 0 when never executed.
   int64_t emitted_rows() const {

@@ -2,7 +2,9 @@
 #define OLXP_SQL_BOUND_PLAN_H_
 
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -74,9 +76,6 @@ inline BoundExprPtr CloneBound(const BoundExpr& e) {
   return out;
 }
 
-/// True when the subtree contains an IN (subquery) or scalar subquery.
-bool ContainsSubquery(const BoundExpr& e);
-
 struct AggSpec {
   AggFunc fn = AggFunc::kCountStar;
   BoundExprPtr arg;  // null for COUNT(*)
@@ -120,6 +119,22 @@ struct BoundSelect {
   int64_t limit = -1;
   bool distinct = false;
 };
+
+/// Materialized rows of a statement's uncorrelated subqueries, by sub_id.
+/// Both executors fill it before their first table latch.
+using SubqueryRows = std::vector<std::optional<std::vector<Row>>>;
+
+/// Calls fn(node) for every subquery node in the plan's expression
+/// positions (step keys, ranges and filters; projections; grouping,
+/// aggregate arguments, HAVING; ORDER BY), not descending into subplans.
+/// Returns the first error.
+Status ForEachSubquery(const BoundSelect& plan,
+                       const std::function<Status(const BoundExpr&)>& fn);
+
+/// A scalar subquery's value: NULL for no rows, else the first column of
+/// its single row; more than one row is InvalidArgument (picking one would
+/// make the answer depend on the store's scan order).
+StatusOr<Value> ScalarSubqueryValue(const std::vector<Row>& rows);
 
 struct BoundInsert {
   int table_id = -1;
@@ -264,12 +279,13 @@ struct CompiledStatement::Impl {
 /// Evaluates a bound scalar expression row-at-a-time with the interpreter's
 /// exact semantics. `tuple` supplies slot values, `agg_values` the per-group
 /// aggregate results for kAggRef nodes (may be null outside group context).
-/// Precondition: the expression contains no subqueries (check with
-/// ContainsSubquery); the vectorized engine uses this for post-aggregation
+/// Every subquery in `e` must already be materialized in `subqueries`,
+/// which is only read. The vectorized engine uses this for post-aggregation
 /// projections, HAVING and ORDER BY keys so both engines agree exactly.
 StatusOr<Value> EvalBound(const BoundExpr& e, const Row& tuple,
                           std::span<const Value> params,
-                          const std::vector<Value>* agg_values);
+                          const std::vector<Value>* agg_values,
+                          SubqueryRows* subqueries);
 
 }  // namespace olxp::sql
 

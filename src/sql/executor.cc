@@ -19,14 +19,39 @@ namespace olxp::sql {
 // Bound-plan node definitions (BoundExpr, TableStep, BoundSelect, ...) live
 // in sql/bound_plan.h so the vectorized engine in src/exec/ can lower them.
 
-bool ContainsSubquery(const BoundExpr& e) {
-  if (e.kind == BKind::kInSubquery || e.kind == BKind::kScalarSubquery) {
-    return true;
+Status ForEachSubquery(const BoundSelect& plan,
+                       const std::function<Status(const BoundExpr&)>& fn) {
+  std::function<Status(const BoundExpr&)> visit = [&](const BoundExpr& e) {
+    if (e.sub_id >= 0) OLXP_RETURN_NOT_OK(fn(e));
+    for (const auto& c : e.children) OLXP_RETURN_NOT_OK(visit(*c));
+    return Status::OK();
+  };
+  auto walk = [&](const BoundExprPtr& p) -> Status {
+    return p == nullptr ? Status::OK() : visit(*p);
+  };
+  for (const TableStep& step : plan.steps) {
+    for (const auto& k : step.key_exprs) OLXP_RETURN_NOT_OK(walk(k));
+    OLXP_RETURN_NOT_OK(walk(step.range_lo));
+    OLXP_RETURN_NOT_OK(walk(step.range_hi));
+    for (const auto& f : step.filters) OLXP_RETURN_NOT_OK(walk(f));
   }
-  for (const auto& c : e.children) {
-    if (ContainsSubquery(*c)) return true;
+  for (const auto& p : plan.projections) OLXP_RETURN_NOT_OK(walk(p));
+  for (const auto& g : plan.group_by) OLXP_RETURN_NOT_OK(walk(g));
+  for (const AggSpec& a : plan.aggs) OLXP_RETURN_NOT_OK(walk(a.arg));
+  OLXP_RETURN_NOT_OK(walk(plan.having));
+  for (const BoundOrderItem& oi : plan.order_by) {
+    OLXP_RETURN_NOT_OK(walk(oi.expr));
   }
-  return false;
+  return Status::OK();
+}
+
+StatusOr<Value> ScalarSubqueryValue(const std::vector<Row>& rows) {
+  if (rows.size() > 1) {
+    return Status::InvalidArgument(
+        "scalar subquery returned more than one row");
+  }
+  if (rows.empty() || rows[0].empty()) return Value::Null();
+  return rows[0][0];
 }
 
 namespace {
@@ -697,9 +722,10 @@ namespace {
 
 struct ExecContext {
   std::span<const Value> params;
+  /// Null when every subquery is already materialized (EvalBound).
   StorageIface* storage = nullptr;
   /// Materialized uncorrelated subquery results, by sub_id.
-  std::vector<std::optional<std::vector<Row>>> sub_cache;
+  SubqueryRows* subqueries = nullptr;
 };
 
 StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
@@ -709,60 +735,45 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
 StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
                      const std::vector<Value>* agg_values);
 
-StatusOr<const std::vector<Row>*> MaterializeSubquery(const BoundExpr& e,
-                                                      ExecContext* ctx) {
-  assert(e.sub_id >= 0);
-  if (static_cast<size_t>(e.sub_id) >= ctx->sub_cache.size()) {
-    ctx->sub_cache.resize(e.sub_id + 1);
-  }
-  if (!ctx->sub_cache[e.sub_id].has_value()) {
+/// The subquery's rows, executing it on first use; with `trace`, that
+/// execution adds a "subquery" op.
+StatusOr<const std::vector<Row>*> MaterializeSubquery(
+    const BoundExpr& e, ExecContext* ctx, obs::QueryTrace* trace = nullptr) {
+  std::optional<std::vector<Row>>& slot = ctx->subqueries->at(e.sub_id);
+  if (!slot.has_value()) {
+    if (ctx->storage == nullptr) {
+      return Status::Internal("subquery was not pre-materialized");
+    }
+    const int64_t t0 = trace != nullptr ? NowNanos() : 0;
     auto rs = ExecuteSelectPlan(*e.subplan, ctx);
     if (!rs.ok()) return rs.status();
-    ctx->sub_cache[e.sub_id] = std::move(rs->rows);
+    if (trace != nullptr) {
+      trace->AddSubquery(e.sub_id, static_cast<int64_t>(rs->rows.size()),
+                         NowNanos() - t0);
+    }
+    slot = std::move(rs->rows);
   }
-  return &*ctx->sub_cache[e.sub_id];
+  return &*slot;
 }
 
-/// Executes every subquery reachable from `e` into the sub_cache. RunJoin
-/// calls this before taking any table latch: evaluating a subquery lazily
-/// from inside a scan callback would open a nested scan under the SHARED
-/// table latch — the lock-order hazard that kept TSan's deadlock detection
-/// off. Correlation is unsupported (subqueries compile in a fresh scope),
-/// so every subquery is loop-invariant and safe to run up front.
-Status PrematerializeSubqueries(const BoundExpr& e, ExecContext* ctx) {
-  if (e.sub_id >= 0) {
-    auto rows = MaterializeSubquery(e, ctx);
-    if (!rows.ok()) return rows.status();
-  }
-  for (const auto& c : e.children) {
-    OLXP_RETURN_NOT_OK(PrematerializeSubqueries(*c, ctx));
-  }
-  return Status::OK();
-}
-
-/// Walks every expression position in the plan (step keys, ranges and
-/// filters; projections; grouping, aggregate arguments, HAVING; ORDER BY)
-/// and pre-materializes the subqueries found there.
+/// Executes every subquery of the plan into the statement's subquery rows
+/// (ForEachSubquery's positions) and rejects a multi-row scalar subquery up
+/// front, whether or not a row ever evaluates it. RunJoin calls this before
+/// taking any table latch: evaluating a subquery lazily from inside a scan
+/// callback would open a nested scan under the SHARED table latch — the
+/// lock-order hazard that kept TSan's deadlock detection off. Correlation
+/// is unsupported (subqueries compile in a fresh scope), so every subquery
+/// is loop-invariant and safe to run up front.
 Status PrematerializePlanSubqueries(const BoundSelect& plan,
-                                    ExecContext* ctx) {
-  auto walk = [&](const BoundExprPtr& p) -> Status {
-    if (p == nullptr) return Status::OK();
-    return PrematerializeSubqueries(*p, ctx);
-  };
-  for (const TableStep& step : plan.steps) {
-    for (const auto& k : step.key_exprs) OLXP_RETURN_NOT_OK(walk(k));
-    OLXP_RETURN_NOT_OK(walk(step.range_lo));
-    OLXP_RETURN_NOT_OK(walk(step.range_hi));
-    for (const auto& f : step.filters) OLXP_RETURN_NOT_OK(walk(f));
-  }
-  for (const auto& p : plan.projections) OLXP_RETURN_NOT_OK(walk(p));
-  for (const auto& g : plan.group_by) OLXP_RETURN_NOT_OK(walk(g));
-  for (const AggSpec& a : plan.aggs) OLXP_RETURN_NOT_OK(walk(a.arg));
-  OLXP_RETURN_NOT_OK(walk(plan.having));
-  for (const BoundOrderItem& oi : plan.order_by) {
-    OLXP_RETURN_NOT_OK(walk(oi.expr));
-  }
-  return Status::OK();
+                                    ExecContext* ctx,
+                                    obs::QueryTrace* trace = nullptr) {
+  if (ctx->subqueries->empty()) return Status::OK();  // the common case
+  return ForEachSubquery(plan, [&](const BoundExpr& e) -> Status {
+    auto rows = MaterializeSubquery(e, ctx, trace);
+    if (!rows.ok()) return rows.status();
+    if (e.kind != BKind::kScalarSubquery) return Status::OK();
+    return ScalarSubqueryValue(**rows).status();
+  });
 }
 
 /// Numeric binary op with int/double promotion.
@@ -944,9 +955,7 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
     case BKind::kScalarSubquery: {
       auto rows = MaterializeSubquery(e, ctx);
       if (!rows.ok()) return rows.status();
-      if ((*rows)->empty()) return Value::Null();
-      if ((**rows)[0].empty()) return Value::Null();
-      return (**rows)[0][0];
+      return ScalarSubqueryValue(**rows);
     }
     case BKind::kCase: {
       size_t n = e.children.size();
@@ -1154,6 +1163,9 @@ Status RunJoin(const BoundSelect& plan, ExecContext* ctx,
 StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
                                       ExecContext* ctx,
                                       obs::QueryTrace* trace) {
+  // Subqueries run first (RunJoin then finds them materialized), so a
+  // trace lists them ahead of the operators that read them.
+  OLXP_RETURN_NOT_OK(PrematerializePlanSubqueries(plan, ctx, trace));
   ResultSet rs;
   rs.column_names = plan.column_names;
   bool stop = false;
@@ -1481,11 +1493,11 @@ StatusOr<ResultSet> ExecuteDeletePlan(const BoundDelete& plan,
 
 StatusOr<Value> EvalBound(const BoundExpr& e, const Row& tuple,
                           std::span<const Value> params,
-                          const std::vector<Value>* agg_values) {
-  assert(!ContainsSubquery(e));
+                          const std::vector<Value>* agg_values,
+                          SubqueryRows* subqueries) {
   ExecContext ctx;
   ctx.params = params;
-  ctx.storage = nullptr;  // subquery-free: never dereferenced
+  ctx.subqueries = subqueries;
   return Eval(e, tuple, &ctx, agg_values);
 }
 
@@ -1550,10 +1562,11 @@ StatusOr<ResultSet> TraceWrite(StatusOr<ResultSet> rs, obs::QueryTrace* trace,
 StatusOr<ResultSet> Execute(const CompiledStatement& stmt,
                             std::span<const Value> params,
                             StorageIface* storage, obs::QueryTrace* trace) {
+  SubqueryRows subqueries(stmt.impl().num_subqueries);
   ExecContext ctx;
   ctx.params = params;
   ctx.storage = storage;
-  ctx.sub_cache.resize(stmt.impl().num_subqueries);
+  ctx.subqueries = &subqueries;
   const int64_t t_start = trace != nullptr ? NowNanos() : 0;
   switch (stmt.impl().kind) {
     case StmtKind::kSelect:

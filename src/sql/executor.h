@@ -54,7 +54,7 @@ StatusOr<std::unique_ptr<CompiledStatement>> Compile(const Statement& stmt,
 
 /// Executes a compiled statement with positional parameters. When `trace`
 /// is non-null, per-operator row counts and wall times are appended
-/// (EXPLAIN ANALYZE capture; subquery evaluation stays untraced). Tracing
+/// (EXPLAIN ANALYZE capture; each subquery is one "subquery" op). Tracing
 /// never changes results.
 StatusOr<ResultSet> Execute(const CompiledStatement& stmt,
                             std::span<const Value> params,

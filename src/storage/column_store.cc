@@ -127,21 +127,6 @@ Value ColumnTable::SlotValueLocked(int c, size_t slot) const {
   return tail_cols_[c][slot - sealed_slots_];
 }
 
-int64_t ColumnTable::Scan(const RowCallback& cb) const {
-  sync::ReaderLock lk(mu_);
-  int64_t visited = 0;
-  Row row(schema_.num_columns());
-  for (size_t slot = 0; slot < live_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    ++visited;
-    for (int c = 0; c < schema_.num_columns(); ++c) {
-      row[c] = SlotValueLocked(c, slot);
-    }
-    if (!cb(row)) break;
-  }
-  return visited;
-}
-
 void ColumnTable::FillTailSpansLocked(std::vector<ColumnSpan>* spans) const {
   spans->resize(tail_cols_.size());
   for (size_t c = 0; c < tail_cols_.size(); ++c) {

@@ -104,10 +104,6 @@ class ColumnTable {
   /// Applies one replicated mutation (called by the Replicator only).
   void Apply(const LogOp& op);
 
-  /// Scans all live rows, materializing each as a Row in schema order.
-  /// Returns rows visited (live slots), the columnar scan cost driver.
-  int64_t Scan(const RowCallback& cb) const;
-
   /// Chunked scan over column storage (the vectorized engine's serial
   /// access path): invokes `cb` with views of up to `chunk_rows`
   /// consecutive slots (less at block boundaries) until the table is

@@ -328,14 +328,4 @@ VacuumStats MvccTable::VacuumBelow(uint64_t watermark, size_t batch_rows) {
   }
 }
 
-void MvccTable::PruneVersions(size_t keep) {
-  sync::WriterLock lk(mu_);
-  for (auto& [pk, chain] : rows_) {
-    if (chain.versions.size() > keep) {
-      chain.versions.erase(chain.versions.begin(),
-                           chain.versions.end() - keep);
-    }
-  }
-}
-
 }  // namespace olxp::storage

@@ -140,12 +140,6 @@ class MvccTable {
   /// `watermark` from the live-snapshot registry.
   VacuumStats VacuumBelow(uint64_t watermark, size_t batch_rows);
 
-  /// DEPRECATED: prunes version chains down to the newest `keep` versions
-  /// with no snapshot safety and no index-entry maintenance. Kept as a shim
-  /// for legacy tests; new code (and the bench harness) uses the
-  /// watermark-driven vacuum instead.
-  void PruneVersions(size_t keep);
-
   /// Total version-chain entries across all rows (vacuum diagnostics).
   size_t TotalVersionCount() const;
 

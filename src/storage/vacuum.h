@@ -114,9 +114,8 @@ struct VacuumConfig {
 /// snapshot watermark and walks every table in lock-bounded chunks,
 /// truncating version chains below the watermark, erasing chains whose
 /// newest sub-watermark version is a tombstone (with nothing newer), and
-/// purging the secondary-index entries those versions backed. Replaces the
-/// manual, snapshot-unsafe MvccTable::PruneVersions between-cells hack with
-/// the continuous collection real HTAP engines run.
+/// purging the secondary-index entries those versions backed: the
+/// continuous, snapshot-safe collection real HTAP engines run.
 class Vacuum {
  public:
   Vacuum(RowStore* store, SnapshotRegistry* registry,

@@ -135,6 +135,45 @@ TEST(TableTwo, WorkloadFeatureCounts) {
   }
 }
 
+/// The replica has one executor: every analytical query of every suite
+/// (subqueries included) routes to the vectorized engine, and the router
+/// never hands a replica candidate back to the row store.
+TEST(SuiteRouting, EverySuiteQueryRunsVectorizedOnTheReplica) {
+  const std::function<BenchmarkSuite()> suites[] = {
+      [] { return benchmarks::MakeSubenchmark(TinyParams()); },
+      [] { return benchmarks::MakeFibenchmark(TinyParams()); },
+      [] { return benchmarks::MakeTabenchmark(TinyParams()); },
+      [] { return benchmarks::MakeChBenchmark(TinyParams()); },
+  };
+  size_t queries = 0;
+  for (const auto& make : suites) {
+    BenchmarkSuite suite = make();
+    auto profile = engine::EngineProfile::TiDbLike();
+    profile.olap_row_fraction = 0.0;
+    profile.cost_based_routing = false;
+    engine::Database db(profile);
+    ASSERT_TRUE(benchfw::SetUp(db, suite).ok());
+    db.WaitReplicaCaughtUp();
+    auto session = db.CreateSession();
+    session->set_charging_enabled(false);
+    session->set_trace_level(1);
+    Rng rng(7);
+    for (const auto& q : suite.queries) {
+      SCOPED_TRACE(suite.name + "/" + q.name);
+      Status st = q.body(*session, rng);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(session->last_trace().route, "column/vectorized")
+          << session->last_trace().sql;
+      ++queries;
+    }
+    EXPECT_EQ(
+        db.metrics().GetCounter("router.replica_unsupported_to_row")->Value(),
+        0)
+        << suite.name;
+  }
+  EXPECT_EQ(queries, 40u);  // 9 + 4 + 5 + 22
+}
+
 /// CH-benCHmark access-mix invariant (10/9/3 of 22 queries touch
 /// SUPPLIER/NATION/REGION) is asserted on the SQL text.
 TEST(ChBench, StitchedAccessMix) {

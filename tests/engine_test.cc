@@ -283,21 +283,5 @@ TEST(Session, PreparedStatementCacheReuse) {
   EXPECT_EQ(rs->rows[0][0].AsInt(), 9900);
 }
 
-TEST(Database, PruneVersionsKeepsLatestVisible) {
-  Database db(EngineProfile::MemSqlLike());
-  auto s = db.CreateSession();
-  s->set_charging_enabled(false);
-  ASSERT_TRUE(s->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
-  ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (1, 0)").ok());
-  for (int i = 1; i <= 20; ++i) {
-    ASSERT_TRUE(s->Execute("UPDATE t SET b = ? WHERE a = 1",
-                           {Value::Int(i)})
-                    .ok());
-  }
-  db.PruneAllVersions(2);
-  auto rs = s->Execute("SELECT b FROM t WHERE a = 1");
-  EXPECT_EQ(rs->rows[0][0].AsInt(), 20);
-}
-
 }  // namespace
 }  // namespace olxp::engine

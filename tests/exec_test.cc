@@ -1,7 +1,9 @@
 // Parity and routing tests for the vectorized columnar execution engine
-// (src/exec/): every analytical query shape must produce exactly the same
-// result set through the vectorized engine and the row-at-a-time
-// interpreter, including after deletes recycle column-store slots.
+// (src/exec/), the replica's only executor: every analytical query shape
+// must produce exactly the same result set on the replica as the row-store
+// interpreter gives at the same (quiesced, caught-up) state, including
+// after deletes recycle column-store slots. The same checks therefore also
+// check that the two stores agree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,36 +26,36 @@ engine::EngineProfile TestProfile() {
   return p;
 }
 
-/// Runs `sql` through the vectorized engine — at exec_threads 1, 2 and 8 —
-/// and the interpreter, asserting identical results everywhere: every
-/// thread count must match the interpreter, and the parallel runs must
-/// match the serial run row-for-row (morsel partials merge in scan order,
-/// so even "unordered" output order is reproduced exactly). `ordered`
-/// compares against the interpreter row-for-row; otherwise that comparison
-/// uses sorted multisets (hash-group output order is engine-dependent).
-void ExpectParity(engine::Database& db, engine::Session& s,
-                  const std::string& sql,
-                  std::initializer_list<Value> params = {},
-                  bool ordered = false, bool expect_vectorized = true) {
+/// Runs `sql` on the row-store interpreter (the reference) and as a
+/// stand-alone statement at exec_threads 1, 2 and 8, asserting identical
+/// results everywhere: every thread count must match the row store, and the
+/// parallel runs must match the serial run row-for-row (morsel partials
+/// merge in scan order, so even "unordered" output order is reproduced
+/// exactly). The stand-alone runs must route to `route` (the vectorized
+/// replica unless the engine refuses the shape). `ordered` compares against
+/// the row store row-for-row; otherwise that comparison uses sorted
+/// multisets (hash-group output order is engine-dependent).
+void ExpectParity(
+    engine::Database& db, engine::Session& s, const std::string& sql,
+    std::initializer_list<Value> params = {}, bool ordered = false,
+    engine::RoutedStore route = engine::RoutedStore::kColumnStore) {
   SCOPED_TRACE(sql);
   const int orig_threads = db.profile().exec_threads;
 
-  db.set_vectorized_execution(false);
-  auto interp = s.Execute(sql, params);
+  auto interp = RowStoreExecute(
+      s, sql, std::span<const Value>(params.begin(), params.end()));
   ASSERT_TRUE(interp.ok()) << interp.status().ToString();
-  EXPECT_FALSE(s.last_vectorized());
+  EXPECT_EQ(s.last_route(), engine::RoutedStore::kRowStore);
   std::vector<std::string> b = Stringify(*interp);
   if (!ordered) std::sort(b.begin(), b.end());
 
-  db.set_vectorized_execution(true);
   std::vector<std::string> serial_rows;
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("exec_threads=" + std::to_string(threads));
     db.set_exec_threads(threads);
     auto vec = s.Execute(sql, params);
     ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    EXPECT_EQ(s.last_vectorized(), expect_vectorized);
-    EXPECT_EQ(s.last_route(), engine::RoutedStore::kColumnStore);
+    EXPECT_EQ(s.last_route(), route);
 
     EXPECT_EQ(vec->column_names, interp->column_names);
     std::vector<std::string> a = Stringify(*vec);
@@ -180,51 +182,127 @@ TEST_P(ExecParityTest, PostDeleteSlotReuseParity) {
   ExpectParity(*db_, *s_, "SELECT d, COUNT(*) FROM t GROUP BY d");
 }
 
+/// Reads the router counter for statements the replica could not serve.
+int64_t ReplicaUnsupported(engine::Database& db) {
+  return db.metrics().GetCounter("router.replica_unsupported_to_row")->Value();
+}
+
 TEST_P(ExecParityTest, UnsupportedShapesFallBackToInterpreter) {
   ASSERT_TRUE(s_->Execute("CREATE TABLE u (k INT PRIMARY KEY, v INT)").ok());
   ASSERT_TRUE(s_->Execute("INSERT INTO u VALUES (1, 10), (2, 20)").ok());
   db_->WaitReplicaCaughtUp();
-  db_->set_vectorized_execution(true);
 
   // Equi-joins vectorize (the hash-join path); parity is checked in the
-  // join suite below. Non-equi joins have no hash key: interpreter.
+  // join suite below. Non-equi joins have no hash key: the router sends
+  // them to the row store's interpreter.
   auto equi = s_->Execute("SELECT COUNT(*) FROM t, u WHERE t.e = u.k");
   ASSERT_TRUE(equi.ok()) << equi.status().ToString();
-  EXPECT_TRUE(s_->last_vectorized());
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  const int64_t refused = ReplicaUnsupported(*db_);
   auto nonequi = s_->Execute("SELECT COUNT(*) FROM t, u WHERE t.e < u.k");
   ASSERT_TRUE(nonequi.ok()) << nonequi.status().ToString();
-  EXPECT_FALSE(s_->last_vectorized());
-  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
+  EXPECT_EQ(ReplicaUnsupported(*db_), refused + 1);
 
-  // Subquery: detected by CanVectorize, interpreter serves it.
+  // Uncorrelated subqueries vectorize (see UncorrelatedSubqueries below).
   auto sub = s_->Execute("SELECT a FROM t WHERE b = (SELECT MAX(v) FROM u)");
   ASSERT_TRUE(sub.ok()) << sub.status().ToString();
-  EXPECT_FALSE(s_->last_vectorized());
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
 
   // Inside a transaction everything pins to the row store.
   ASSERT_TRUE(s_->Begin().ok());
   auto txn_q = s_->Execute("SELECT SUM(b) FROM t");
   ASSERT_TRUE(txn_q.ok());
   EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
-  EXPECT_FALSE(s_->last_vectorized());
   ASSERT_TRUE(s_->Commit().ok());
+  EXPECT_EQ(ReplicaUnsupported(*db_), refused + 1);
 }
 
 TEST_P(ExecParityTest, MixedTypeCaseFallsBackToInterpreter) {
   // CASE branches with different payload families (INT column vs DOUBLE
   // column) must not be promoted to one vector type: the interpreter
   // returns each row with its picked branch's own type, so the vectorized
-  // engine refuses the chunk and the statement falls back.
-  db_->set_vectorized_execution(true);
-  auto rs = s_->Execute("SELECT a, CASE WHEN e > 3 THEN b ELSE c END "
-                        "FROM t WHERE b IS NOT NULL AND c IS NOT NULL");
-  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_FALSE(s_->last_vectorized());
-  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  // engine refuses the chunk and the statement re-runs on the row store.
+  const int64_t refused = ReplicaUnsupported(*db_);
   ExpectParity(*db_, *s_,
                "SELECT a, CASE WHEN e > 3 THEN b ELSE c END FROM t "
                "WHERE b IS NOT NULL AND c IS NOT NULL",
-               {}, /*ordered=*/false, /*expect_vectorized=*/false);
+               {}, /*ordered=*/false, engine::RoutedStore::kRowStore);
+  EXPECT_EQ(ReplicaUnsupported(*db_), refused + 3);  // one per thread count
+}
+
+/// Subquery table for the subquery cases: NULLs in `v`, and values that do
+/// and do not occur in t.b / t.e.
+void CreateSubqueryTable(engine::Database& db, engine::Session& s) {
+  ASSERT_TRUE(s.Execute("CREATE TABLE u (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(s.Execute("INSERT INTO u VALUES (1, 100), (2, NULL), "
+                        "(3, 250), (4, 7), (5, NULL), (6, 3)")
+                  .ok());
+  db.WaitReplicaCaughtUp();
+}
+
+TEST_P(ExecParityTest, UncorrelatedSubqueries) {
+  CreateSubqueryTable(*db_, *s_);
+  // Scalar subqueries in a filter (statement parameters reach the
+  // subquery too).
+  ExpectParity(*db_, *s_, "SELECT a, b FROM t WHERE b > (SELECT AVG(v) "
+                          "FROM u)");
+  ExpectParity(*db_, *s_,
+               "SELECT COUNT(*), SUM(b) FROM t WHERE b < (SELECT MAX(v) "
+               "FROM u WHERE k > ?) AND e <> ?",
+               {Value::Int(2), Value::Int(3)});
+  // An empty scalar subquery is NULL: comparisons with it are false.
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE b = (SELECT v FROM u "
+                          "WHERE k < 0)");
+  ExpectParity(*db_, *s_, "SELECT a FROM t WHERE (SELECT v FROM u WHERE "
+                          "k < 0) IS NULL AND a < 20");
+  // Post-aggregation positions: projection and HAVING.
+  ExpectParity(*db_, *s_, "SELECT (SELECT MAX(v) FROM u), COUNT(*) FROM t");
+  ExpectParity(*db_, *s_,
+               "SELECT e, COUNT(*) FROM t GROUP BY e HAVING SUM(b) > "
+               "(SELECT MAX(v) FROM u) * 250 ORDER BY e",
+               {}, /*ordered=*/true);
+  ExpectParity(*db_, *s_, "SELECT a, b - (SELECT MIN(v) FROM u) FROM t "
+                          "WHERE a <= 30");
+  // IN / NOT IN with NULLs in the subquery result and in the probe column
+  // (b): a NULL operand is never a member, and NOT IN negates.
+  ExpectParity(*db_, *s_, "SELECT a, b FROM t WHERE b IN (SELECT v FROM u)");
+  ExpectParity(*db_, *s_, "SELECT a FROM t WHERE b NOT IN (SELECT v FROM u)");
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE e IN (SELECT k FROM u "
+                          "WHERE v IS NULL)");
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE e NOT IN (SELECT k "
+                          "FROM u WHERE v > 5)");
+  // DOUBLE members against an INT probe, and an empty member set.
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE b IN (SELECT v / 1.0 "
+                          "FROM u)");
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE b NOT IN (SELECT v "
+                          "FROM u WHERE k < 0)");
+  // A subquery nested in a subquery.
+  ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE e IN (SELECT k FROM "
+                          "u WHERE v < (SELECT AVG(v) FROM u))");
+  EXPECT_EQ(ReplicaUnsupported(*db_), 0);
+}
+
+TEST_P(ExecParityTest, MultiRowScalarSubqueryIsRejectedOnBothStores) {
+  CreateSubqueryTable(*db_, *s_);
+  // More than one row has no single value; taking the first would make the
+  // answer depend on the store's scan order. The replica rejects it (the
+  // session re-runs it on the row store, which rejects it too) even when
+  // no row ever evaluates the comparison.
+  for (const char* q :
+       {"SELECT a FROM t WHERE b = (SELECT v FROM u)",
+        "SELECT a FROM t WHERE a < 0 AND b = (SELECT v FROM u WHERE k > 4)",
+        "SELECT (SELECT k FROM u), COUNT(*) FROM t"}) {
+    SCOPED_TRACE(q);
+    const int64_t refused = ReplicaUnsupported(*db_);
+    auto col = s_->Execute(q);
+    ASSERT_FALSE(col.ok());
+    EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ReplicaUnsupported(*db_), refused + 1);
+    auto row = RowStoreExecute(*s_, q);
+    ASSERT_FALSE(row.ok());
+    EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
@@ -255,13 +333,12 @@ TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
   }
   db.WaitReplicaCaughtUp();
 
-  db.set_vectorized_execution(true);
   auto rs = s->Execute(
       "SELECT g, MIN(CASE WHEN i IS NULL THEN d1 ELSE i END), "
       "MAX(CASE WHEN i IS NULL THEN d2 ELSE i END) FROM m GROUP BY g "
       "ORDER BY g");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_TRUE(s->last_vectorized());
+  EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
   ASSERT_EQ(rs->rows.size(), 3u);
   for (const Row& r : rs->rows) {
     EXPECT_EQ(r[1].ToString(), "2");    // INT 2 < DOUBLE 2.4
@@ -276,20 +353,17 @@ TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
 
 TEST_P(ExecParityTest, StringPredicateFallsBackInsteadOfCrashing) {
   // A bare string-typed WHERE conjunct has no vector truthiness; the
-  // engine must hand the statement to the interpreter, not misread the
-  // string vector as booleans.
-  db_->set_vectorized_execution(true);
+  // engine must hand the statement to the row store's interpreter, not
+  // misread the string vector as booleans.
   auto rs = s_->Execute("SELECT COUNT(*) FROM t WHERE d");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_FALSE(s_->last_vectorized());
-  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
 }
 
 TEST_P(ExecParityTest, SnapshotWatermarkIsReported) {
-  db_->set_vectorized_execution(true);
   auto rs = s_->Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok());
-  EXPECT_TRUE(s_->last_vectorized());
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
   // The replica is fully caught up, so the statement executed "as of" the
   // current replication watermark.
   EXPECT_EQ(s_->last_snapshot_ts(), db_->column_store().replicated_ts());
@@ -300,8 +374,8 @@ TEST_P(ExecParityTest, SnapshotWatermarkIsReported) {
 
 /// Star-ish schema: `cust` (dimension), `ord` (fact, with NULL join keys
 /// sprinkled in), `item` (second dimension). Every query below must produce
-/// identical results through the vectorized hash join and the interpreter's
-/// nested-loop join.
+/// identical results through the vectorized hash join on the replica and
+/// the interpreter's nested-loop join on the row store.
 class JoinParityTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
@@ -446,14 +520,32 @@ TEST_P(JoinParityTest, GroupRepresentativeSlotsMatchInterpreter) {
                {}, /*ordered=*/true);
 }
 
+TEST_P(JoinParityTest, SubqueriesInJoinFilters) {
+  // The chbench Q17 shape: a scalar subquery in the build side's filter
+  // (item is the smaller side, so it builds).
+  ExpectParity(*db_, *s_,
+               "SELECT SUM(o.amount) / 2.0 FROM ord o JOIN item i "
+               "ON i.iid = o.item_id WHERE i.price < (SELECT AVG(price) "
+               "FROM item)");
+  // IN subquery on the build side, scalar subquery on the stream side.
+  ExpectParity(*db_, *s_,
+               "SELECT c.region, COUNT(*) FROM ord o JOIN cust c "
+               "ON o.cust_id = c.id WHERE c.region IN (SELECT grp FROM item "
+               "WHERE price > 3.0) AND o.qty > (SELECT MIN(grp) FROM item) "
+               "GROUP BY c.region ORDER BY c.region",
+               {}, /*ordered=*/true);
+  ExpectParity(*db_, *s_,
+               "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id "
+               "WHERE o.item_id NOT IN (SELECT iid FROM item WHERE grp = 1)");
+}
+
 TEST_P(JoinParityTest, NullKeysNeverJoin) {
   // The NULL cust_ids must not match anything (NULL = NULL is false).
-  db_->set_vectorized_execution(true);
   auto joined = s_->Execute(
       "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id "
       "AND c.id IS NULL");
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-  EXPECT_TRUE(s_->last_vectorized());
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
   EXPECT_EQ(joined->rows[0][0].AsInt(), 0);
   ExpectParity(*db_, *s_,
                "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id");
@@ -485,13 +577,12 @@ TEST_P(JoinParityTest, JoinInsideTransactionPinsToRowStore) {
       "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
-  EXPECT_FALSE(s_->last_vectorized());
   ASSERT_TRUE(s_->Commit().ok());
 }
 
 /// The acceptance shape: a 2-table equi-join + aggregate over a >=100k-row
 /// build side routes to the replica, runs vectorized, and matches the
-/// interpreter exactly.
+/// row-store interpreter exactly.
 TEST(JoinAtScale, LargeBuildSideVectorizesWithParity) {
   engine::Database db(TestProfile());
   auto s = db.CreateSession();
@@ -522,21 +613,17 @@ TEST(JoinAtScale, LargeBuildSideVectorizesWithParity) {
   const std::string q =
       "SELECT d.bucket, COUNT(*), SUM(f.v) FROM fact f JOIN dim d "
       "ON f.dim_id = d.id GROUP BY d.bucket ORDER BY d.bucket";
-  db.set_vectorized_execution(false);
-  auto interp = s->Execute(q);
+  auto interp = RowStoreExecute(*s, q);
   ASSERT_TRUE(interp.ok()) << interp.status().ToString();
-  EXPECT_FALSE(s->last_vectorized());
 
-  // The at-scale join must agree with the interpreter at every lane count
+  // The at-scale join must agree with the row store at every lane count
   // (serial probe and morsel-parallel probe over the shared build table).
-  db.set_vectorized_execution(true);
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("exec_threads=" + std::to_string(threads));
     db.set_exec_threads(threads);
     auto vec = s->Execute(q);
     ASSERT_TRUE(vec.ok()) << vec.status().ToString();
     EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
-    EXPECT_TRUE(s->last_vectorized());
     ASSERT_EQ(vec->rows.size(), 97u);
     EXPECT_EQ(Stringify(*vec), Stringify(*interp));
   }
@@ -568,7 +655,6 @@ TEST(ExecRouting, IndexedJoinDriverRoutesToRowStore) {
   ASSERT_TRUE(
       s->Execute("SELECT SUM(b.v) FROM a, b WHERE a.r = b.k").ok());
   EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
-  EXPECT_TRUE(s->last_vectorized());
 
   // Point-driven join (pk point on the driver, pk seek per inner row):
   // seek-dominated on the row store, far below two full replica sweeps.

@@ -71,7 +71,7 @@ TEST(FuzzCorpus, BlockCodecReplays) {
 TEST(FuzzCorpus, ConfigReplays) { ReplayCorpus("config", fuzz::ConfigOne); }
 
 // The oracle must flag a path whose rows were tampered with. Perturb the
-// serial vectorized result (drop a row / rewrite a cell) and expect a
+// serial replica result (drop a row / rewrite a cell) and expect a
 // non-empty divergence report; clear the hook and expect agreement again.
 TEST(DifferentialOracle, DetectsRowDivergence) {
   fuzz::SetResultPerturberForTest([](sql::ResultSet* rs) {

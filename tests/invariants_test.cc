@@ -187,7 +187,7 @@ TEST(ReplicaInvariants, ConvergesToRowStoreAfterMixedLoad) {
   }
 }
 
-/// Version pruning between cells never changes query results.
+/// A vacuum pass between cells never changes query results.
 TEST(PruneInvariants, PruningPreservesLatestState) {
   BenchmarkSuite suite = benchmarks::MakeFibenchmark(SmallParams());
   engine::Database db(engine::EngineProfile::MemSqlLike());
@@ -196,7 +196,7 @@ TEST(PruneInvariants, PruningPreservesLatestState) {
 
   auto before = s->Execute("SELECT SUM(bal), COUNT(*) FROM checking");
   ASSERT_TRUE(before.ok());
-  db.PruneAllVersions(2);
+  db.RunVacuum();
   auto after = s->Execute("SELECT SUM(bal), COUNT(*) FROM checking");
   ASSERT_TRUE(after.ok());
   EXPECT_DOUBLE_EQ(before->rows[0][0].AsDouble(),

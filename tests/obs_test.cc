@@ -203,7 +203,7 @@ class ObsEngineTest : public ::testing::Test {
     db.WaitReplicaCaughtUp();
     auto rs = s.Execute("SELECT COUNT(*), SUM(v) FROM m");
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(s.last_vectorized());
+    EXPECT_EQ(s.last_route(), engine::RoutedStore::kColumnStore);
     db.RunVacuum();
   }
 
@@ -261,27 +261,22 @@ TEST_F(ObsEngineTest, TracingChangesNoResults) {
       // One group per row: the radix-partitioned combine.
       "SELECT k, SUM(w) AS s FROM m GROUP BY k ORDER BY s DESC LIMIT 9",
   };
-  for (bool vectorized : {true, false}) {
-    db.set_vectorized_execution(vectorized);
-    for (const char* sql : queries) {
-      SCOPED_TRACE(std::string(sql) +
-                   (vectorized ? " [vectorized]" : " [interpreter]"));
-      s->set_trace_level(0);
-      auto plain = s->Execute(sql);
-      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-      s->set_trace_level(1);
-      auto traced = s->Execute(sql);
-      ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-      EXPECT_EQ(Stringify(*traced), Stringify(*plain));
-      // The trace itself must be coherent: ops captured, and the final
-      // emit op reporting exactly the statement's result cardinality.
-      const obs::QueryTrace& t = s->last_trace();
-      EXPECT_FALSE(t.ops.empty());
-      EXPECT_EQ(t.emitted_rows(),
-                static_cast<int64_t>(traced->rows.size()));
-      EXPECT_FALSE(t.route.empty());
-      s->set_trace_level(0);
-    }
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    s->set_trace_level(0);
+    auto plain = s->Execute(sql);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    s->set_trace_level(1);
+    auto traced = s->Execute(sql);
+    ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+    EXPECT_EQ(Stringify(*traced), Stringify(*plain));
+    // The trace itself must be coherent: ops captured, and the final
+    // emit op reporting exactly the statement's result cardinality.
+    const obs::QueryTrace& t = s->last_trace();
+    EXPECT_FALSE(t.ops.empty());
+    EXPECT_EQ(t.emitted_rows(), static_cast<int64_t>(traced->rows.size()));
+    EXPECT_FALSE(t.route.empty());
+    s->set_trace_level(0);
   }
 }
 
@@ -377,7 +372,7 @@ TEST_F(ObsEngineTest, ColumnStorageGaugesAndZoneSkipTelemetry) {
   // zone map: the scan must read fewer blocks than exist and say so.
   auto rs = s->Execute("SELECT COUNT(*) FROM m WHERE k < 100");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_TRUE(s->last_vectorized());
+  EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
   EXPECT_EQ(rs->rows[0][0].AsInt(), 100);
 
   // StatsJson() refreshes the per-table storage gauges into the registry.
@@ -458,19 +453,66 @@ TEST_F(ObsEngineTest, InterpreterFallbackTraceIsCleanAndEmitMatches) {
   RunMixedWorkload(db, *s);
   s->set_trace_level(1);
 
-  // Subqueries are not vectorizable: the statement routes to the replica,
-  // the vectorized attempt falls back, and the interpreter serves it. The
-  // trace must describe only the interpreter execution.
+  // The replica runs the subquery and builds the join, then refuses the
+  // mixed-type CASE (INT v vs DOUBLE w) at run time; the statement re-runs
+  // on the row store. The trace must describe only that execution.
   auto rs = s->Execute(
-      "SELECT COUNT(*) FROM m WHERE v > (SELECT AVG(v) FROM m)");
+      "SELECT a.k, CASE WHEN a.v > 3 THEN a.v ELSE b.w END FROM m a "
+      "JOIN m b ON a.k = b.k WHERE a.v > (SELECT MIN(v) FROM m)");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_FALSE(s->last_vectorized());
+  EXPECT_EQ(s->last_route(), engine::RoutedStore::kRowStore);
   const obs::QueryTrace& t = s->last_trace();
-  EXPECT_EQ(t.route, "column/interpreter");
+  EXPECT_EQ(t.route, "row/interpreter");
   EXPECT_EQ(t.emitted_rows(), static_cast<int64_t>(rs->rows.size()));
+  int subqueries = 0;
   for (const obs::TraceOp& op : t.ops) {
     EXPECT_NE(op.op, "join-build");  // no leftovers from the aborted attempt
+    subqueries += op.op == "subquery" ? 1 : 0;
   }
+  EXPECT_EQ(subqueries, 1);  // the row store's own run of the subquery
+  EXPECT_EQ(db.metrics().Snapshot().counters.at(
+                "router.replica_unsupported_to_row"),
+            1);
+}
+
+TEST_F(ObsEngineTest, SubqueriesAreTracedBeforeTheScan) {
+  engine::Database db(Profile());
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  RunMixedWorkload(db, *s);
+  auto members = s->Execute("SELECT COUNT(*) FROM m WHERE v = 3");
+  ASSERT_TRUE(members.ok());
+
+  // Each uncorrelated subquery runs before the statement pins a table and
+  // appears as its own "subquery" op with its result rows and wall time.
+  const std::string q =
+      "SELECT COUNT(*) FROM m WHERE v > (SELECT AVG(v) FROM m) "
+      "AND k IN (SELECT k FROM m WHERE v = 3)";
+  auto explained = s->Execute("EXPLAIN ANALYZE " + q);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
+  const obs::QueryTrace& t = s->last_trace();
+  EXPECT_EQ(t.route, "column/vectorized");
+  ASSERT_GE(t.ops.size(), 3u);
+  EXPECT_EQ(t.ops[0].op, "subquery");
+  EXPECT_EQ(t.ops[0].rows_out, 1);
+  EXPECT_GE(t.ops[0].wall_us, 0);
+  EXPECT_EQ(t.ops[1].op, "subquery");
+  EXPECT_EQ(t.ops[1].rows_out, members->rows[0][0].AsInt());
+  EXPECT_GE(t.ops[1].wall_us, 0);
+  EXPECT_EQ(t.ops[2].op, "scan");
+  std::string all;
+  for (const Row& r : explained->rows) all += r[0].AsString() + "\n";
+  EXPECT_NE(all.find("subquery"), std::string::npos) << all;
+
+  // Tracing changes no result.
+  s->set_trace_level(0);
+  auto plain = s->Execute(q);
+  ASSERT_TRUE(plain.ok());
+  s->set_trace_level(1);
+  auto traced = s->Execute(q);
+  ASSERT_TRUE(traced.ok());
+  EXPECT_EQ(Stringify(*traced), Stringify(*plain));
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(ParallelAgg, SkewedSingleGroupStress) {
         "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v), AVG(w) FROM skew "
         "GROUP BY g");
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
     ASSERT_EQ(rs->rows.size(), 1u);
     EXPECT_EQ(rs->rows[0][0].AsInt(), 7);
     EXPECT_EQ(rs->rows[0][1].AsInt(), kRows);
@@ -211,13 +211,13 @@ TEST(ParallelAgg, HighCardinalityGroupMergeMatchesSerial) {
   db.set_exec_threads(1);
   auto serial = s->Execute(q);
   ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(s->last_vectorized());
+  ASSERT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
   for (int threads : {2, 8}) {
     SCOPED_TRACE("exec_threads=" + std::to_string(threads));
     db.set_exec_threads(threads);
     auto par = s->Execute(q);
     ASSERT_TRUE(par.ok());
-    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
     // Row-for-row: group creation order reproduces the serial scan.
     EXPECT_EQ(Stringify(*par), Stringify(*serial));
   }
@@ -254,7 +254,7 @@ TEST(ParallelAgg, CompositeAndNullKeysMergeExactly) {
     db.set_exec_threads(8);
     auto par = s->Execute(q);
     ASSERT_TRUE(par.ok());
-    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
     EXPECT_EQ(Stringify(*par), Stringify(*serial));
   }
 }
@@ -323,14 +323,14 @@ TEST(PartitionedAgg, HighCardinalityMatchesSerialBitForBit) {
       db.set_exec_threads(1);
       auto serial = s->Execute(q);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      ASSERT_TRUE(s->last_vectorized());
+      ASSERT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
       for (int threads : {2, 4, 8}) {
         SCOPED_TRACE("exec_threads=" + std::to_string(threads));
         db.set_exec_threads(threads);
         const int64_t before = PartitionedCount(db);
         auto par = s->Execute(q);
         ASSERT_TRUE(par.ok()) << par.status().ToString();
-        EXPECT_TRUE(s->last_vectorized());
+        EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
         EXPECT_EQ(PartitionedCount(db), before + 1);
         ExpectBitIdentical(*par, *serial);
       }
@@ -379,7 +379,7 @@ TEST(PartitionedAgg, TopKTiesKeepFirstCreatedGroups) {
     db.set_exec_threads(threads);
     auto rs = s->Execute(q);
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
     ASSERT_EQ(rs->rows.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(rs->rows[i][0].AsInt(), want[i]) << "rank " << i;
@@ -421,7 +421,7 @@ TEST(PartitionedAgg, FirstMorselCardinalityPicksTheCombine) {
     db.set_exec_threads(4);
     auto par = s->Execute(c.sql);
     ASSERT_TRUE(par.ok());
-    EXPECT_TRUE(s->last_vectorized());
+    EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
     EXPECT_EQ(PartitionedCount(db), serial_count + (c.partitioned ? 1 : 0));
     ExpectBitIdentical(*par, *serial);
   }
@@ -442,7 +442,7 @@ TEST(ParallelExec, EarlyStopLimitPlansStaySerialAndCorrect) {
   db.WaitReplicaCaughtUp();
   auto rs = s->Execute("SELECT k FROM lim WHERE v >= 100 LIMIT 5");
   ASSERT_TRUE(rs.ok());
-  EXPECT_TRUE(s->last_vectorized());
+  EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
   ASSERT_EQ(rs->rows.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(rs->rows[i][0].AsInt(), 100 + i);
 }
@@ -467,12 +467,10 @@ TEST(ParallelRouting, PointReadsStayOnRowStoreWithPool) {
   // vectorized sweeps become.
   ASSERT_TRUE(s->Execute("SELECT v FROM pr WHERE k = 123").ok());
   EXPECT_EQ(s->last_route(), engine::RoutedStore::kRowStore);
-  EXPECT_FALSE(s->last_vectorized());
 
   // Full-table aggregate: replica, vectorized, and the pool engages.
   ASSERT_TRUE(s->Execute("SELECT SUM(v) FROM pr").ok());
   EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
-  EXPECT_TRUE(s->last_vectorized());
 }
 
 TEST(ParallelRouting, ParallelCostTermPullsIndexedScansToReplica) {

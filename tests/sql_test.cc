@@ -278,6 +278,31 @@ TEST_F(SqlExecTest, ScalarAndInSubqueries) {
   EXPECT_EQ(not_in.rows[0][0].AsInt(), 1);  // 'exec' is not in dept table
 }
 
+TEST_F(SqlExecTest, MultiRowScalarSubqueryIsAnError) {
+  // A scalar subquery over more than one row has no single value (picking
+  // the first would depend on the store's scan order). A SELECT checks it
+  // before scanning, so it fails even when no row evaluates it.
+  for (const char* q :
+       {"SELECT name FROM emp WHERE salary = (SELECT salary FROM emp "
+        "WHERE dept = 'eng')",
+        "SELECT name FROM emp WHERE id < 0 AND salary = (SELECT salary "
+        "FROM emp)",
+        "UPDATE emp SET salary = (SELECT salary FROM emp WHERE dept = 'ops') "
+        "WHERE id = 1"}) {
+    EXPECT_EQ(TryExec(q).code(), StatusCode::kInvalidArgument) << q;
+  }
+  // One row is its value; no rows is NULL.
+  auto one = Exec("SELECT name FROM emp WHERE salary = (SELECT salary FROM "
+                  "emp WHERE id = 2)");
+  ASSERT_EQ(one.rows.size(), 1u);
+  EXPECT_EQ(one.rows[0][0].AsString(), "bob");
+  auto none = Exec("SELECT COUNT(*) FROM emp WHERE (SELECT salary FROM emp "
+                   "WHERE id = 99) IS NULL");
+  EXPECT_EQ(none.rows[0][0].AsInt(), 10);
+  EXPECT_EQ(Exec("SELECT salary FROM emp WHERE id = 1").rows[0][0].AsDouble(),
+            100.0);  // the failed UPDATE changed nothing
+}
+
 TEST_F(SqlExecTest, LikeAndCaseAndNullPredicates) {
   auto like = Exec("SELECT COUNT(*) FROM emp WHERE name LIKE '%a%'");
   EXPECT_EQ(like.rows[0][0].AsInt(), 5);  // ada, cat, dan, fay, hal

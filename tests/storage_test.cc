@@ -292,18 +292,6 @@ TEST(MvccTable, ChunkedScanStaysConsistentAcrossLatchDrops) {
   writer.join();
 }
 
-TEST(MvccTable, PruneVersionsKeepsNewest) {
-  MvccTable t(0, KvSchema());
-  for (uint64_t ts = 1; ts <= 10; ++ts) {
-    EXPECT_TRUE(t.InstallVersion({Value::Int(1)}, ts, false,
-                     KvRow(1, "v" + std::to_string(ts), 0)).ok());
-  }
-  t.PruneVersions(2);
-  EXPECT_FALSE(t.Get({Value::Int(1)}, 8).has_value());  // pruned
-  EXPECT_EQ(t.Get({Value::Int(1)}, 10)->at(1).AsString(), "v10");
-  EXPECT_EQ(t.Get({Value::Int(1)}, 9)->at(1).AsString(), "v9");
-}
-
 TEST(MvccTable, ConcurrentReadersAndInstalls) {
   MvccTable t(0, KvSchema());
   TimestampOracle oracle;
@@ -570,8 +558,10 @@ TEST(ColumnStore, ApplyUpsertDeleteAndSlotReuse) {
   ins2.pk = {Value::Int(2)};
   ins2.data = KvRow(2, "c", 12);
   t.Apply(ins2);  // reuses the freed slot
-  int64_t visited = t.Scan([](const Row&) { return true; });
+  int64_t visited =
+      t.BatchScan(16, [](const ColumnChunkView&) { return true; });
   EXPECT_EQ(visited, 1);
+  EXPECT_EQ(t.SlotCount(), 1u);
 }
 
 TEST(Replicator, ShipsAfterLagAndCatchUp) {

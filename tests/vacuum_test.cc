@@ -476,23 +476,5 @@ TEST_F(VacuumRecoveryTest, CheckpointSnapshotPinnedAgainstConcurrentVacuum) {
   EXPECT_EQ(count->rows[0][0].AsInt(), 100);
 }
 
-// --------------------------- deprecated shim --------------------------------
-
-TEST(Vacuum, DeprecatedPruneShimStillKeepsLatest) {
-  Database db(SiProfile());
-  auto s = db.CreateSession();
-  s->set_charging_enabled(false);
-  ASSERT_TRUE(s->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
-  ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (1, 0)").ok());
-  for (int i = 1; i <= 8; ++i) {
-    ASSERT_TRUE(
-        s->Execute("UPDATE t SET b = ? WHERE a = 1", {Value::Int(i)}).ok());
-  }
-  db.PruneAllVersions(2);
-  auto rs = s->Execute("SELECT b FROM t WHERE a = 1");
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rs->rows[0][0].AsInt(), 8);
-}
-
 }  // namespace
 }  // namespace olxp::engine
