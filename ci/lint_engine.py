@@ -44,6 +44,14 @@ Stdlib-only; runs from CI (static-analysis job) and from ctest. Rules:
                   writer (src/storage/wal.cc) are exempt: the group-
                   commit leader fsyncs while holding the baton by
                   design, with followers deliberately parked.
+  cost-model      The per-row rates col_vector_row_ns,
+                  col_join_build_row_ns, col_join_row_ns,
+                  row_analytic_scan_row_ns and parallel_efficiency appear
+                  under src/ only in src/engine/profile.{h,cc}, whose
+                  ReplicaCostNs / RowReadCostNs are the one pricing
+                  function per store: the router calls them on estimated
+                  counts, the charge on actual counts. A second copy of
+                  the formula elsewhere would drift from them.
 
 Usage: lint_engine.py [--root DIR] [--json]
 Exits 0 when clean, 1 otherwise. Default output is one human-readable
@@ -117,6 +125,15 @@ COLUMNS_ALLOWED_PREFIXES = (
     "src/storage/column_block",
 )
 
+COST_RATE_RE = re.compile(
+    r"\b(?:col_vector_row_ns|col_join_build_row_ns|col_join_row_ns|"
+    r"row_analytic_scan_row_ns|parallel_efficiency)\b")
+# The only engine files that may read the per-row rates (see docstring).
+COST_MODEL_FILES = {
+    "src/engine/profile.h",
+    "src/engine/profile.cc",
+}
+
 LINE_COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
 # blocking-under-lock: guard construction opens a lexical critical section
@@ -147,6 +164,7 @@ def lint_file(root, rel, findings):
     in_engine = is_under(rel, ENGINE_DIRS)
     columns_ok = rel.as_posix().startswith(COLUMNS_ALLOWED_PREFIXES)
     blocking_exempt = rel.as_posix() in BLOCKING_ALLOWED
+    cost_rates_ok = rel.as_posix() in COST_MODEL_FILES
     # blocking-under-lock scope state: brace depth, plus the depth at which
     # each live guard was declared (a guard dies when its enclosing scope
     # closes). Lexical heuristic — strings/comments containing braces can
@@ -179,6 +197,11 @@ def lint_file(root, rel, findings):
                 findings.append((rel, lineno, "raw-sync",
                                  "raw std sync primitive; use the annotated "
                                  f"wrappers in common/sync.h{hint}"))
+            if COST_RATE_RE.search(line) and not cost_rates_ok:
+                findings.append((rel, lineno, "cost-model",
+                                 "per-row cost rate outside "
+                                 "engine/profile.{h,cc}; price work through "
+                                 "ReplicaCostNs / RowReadCostNs"))
             if TSA_ESCAPE_RE.search(line):
                 findings.append((rel, lineno, "tsa-escape",
                                  "NO_THREAD_SAFETY_ANALYSIS outside the "

@@ -90,7 +90,8 @@ void Database::set_exec_threads(int n) {
 }
 
 std::unique_ptr<Session> Database::CreateSession() {
-  return std::unique_ptr<Session>(new Session(this));
+  return std::unique_ptr<Session>(new Session(
+      this, next_session_ordinal_.fetch_add(1, std::memory_order_relaxed)));
 }
 
 StatusOr<int> Database::TableId(std::string_view name) const {

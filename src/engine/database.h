@@ -168,6 +168,8 @@ class Database : public sql::Catalog {
   /// sweepers are tearing down behind it.
   std::unique_ptr<exec::WorkerPool> exec_pool_;
   std::atomic<uint64_t> schema_version_{0};
+  /// Sessions opened so far (the next session's ordinal).
+  std::atomic<uint64_t> next_session_ordinal_{0};
   /// Declared last: destroyed first, flushing its tail while the rest of
   /// the substrate is still alive. No transaction runs during destruction.
   std::unique_ptr<storage::WalWriter> wal_;

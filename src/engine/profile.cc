@@ -1,8 +1,32 @@
 #include "engine/profile.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
+#include "exec/vectorized.h"
 
 namespace olxp::engine {
+
+double ReplicaCostNs(const exec::VecExecStats& stats, const LatencyModel& m) {
+  const double driver_ns =
+      static_cast<double>(stats.rows_scanned_driver) *
+          static_cast<double>(m.col_vector_row_ns) +
+      static_cast<double>(stats.rows_joined) *
+          static_cast<double>(m.col_join_row_ns);
+  const double build_ns =
+      static_cast<double>(stats.rows_scanned - stats.rows_scanned_driver) *
+          static_cast<double>(m.col_vector_row_ns) +
+      static_cast<double>(stats.rows_built) *
+          static_cast<double>(m.col_join_build_row_ns);
+  const double speedup =
+      1.0 + m.parallel_efficiency * (std::max(stats.lanes_used, 1) - 1);
+  return driver_ns / speedup + build_ns;
+}
+
+double RowReadCostNs(double seeks, double rows, const LatencyModel& m) {
+  return seeks * static_cast<double>(m.row_seek_ns) +
+         rows * static_cast<double>(m.row_analytic_scan_row_ns);
+}
 
 EngineProfile EngineProfile::MemSqlLike() {
   EngineProfile p;

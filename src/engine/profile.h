@@ -7,6 +7,10 @@
 
 #include "txn/transaction.h"
 
+namespace olxp::exec {
+struct VecExecStats;
+}  // namespace olxp::exec
+
 namespace olxp::engine {
 
 /// Which physical stores exist and how OLAP is routed.
@@ -47,13 +51,26 @@ struct LatencyModel {
   /// (1 + 0.15 * factor * other_scans).
   double scan_contention = 0.5;
   /// Per-extra-lane efficiency of morsel-driven parallel execution: a
-  /// vectorized statement that engaged L lanes has its simulated replica
-  /// work divided by 1 + parallel_efficiency * (L - 1) (sub-linear scaling:
-  /// dispatch, partial-state merge and memory bandwidth are shared). The
-  /// router uses the same factor when costing the replica side, so
-  /// seek-dominated shapes still pick the row store.
+  /// vectorized statement that engaged L lanes has its driving scan and
+  /// probe divided by 1 + parallel_efficiency * (L - 1) (sub-linear
+  /// scaling: dispatch, partial-state merge and memory bandwidth are
+  /// shared).
   double parallel_efficiency = 0.7;
 };
+
+/// The two pricing functions of the per-row rates above, one per store.
+/// Each is called twice per cost-routed statement: by the router on
+/// estimated counts, and on the counts execution actually reports (the
+/// charge, and the router.cost_residual_pct sample). No other code reads
+/// these rates.
+///
+/// Simulated ns of the replica work in `stats` (exec::VecExecStats): the
+/// driving scan and its probe divide by the parallel speedup of the lanes
+/// they engaged; hash-join builds, their sweeps included, run serially.
+double ReplicaCostNs(const exec::VecExecStats& stats, const LatencyModel& m);
+/// Simulated ns of a standalone analytical read on the row store: `seeks`
+/// index or pk seeks plus `rows` rows visited at the analytic rate.
+double RowReadCostNs(double seeks, double rows, const LatencyModel& m);
 
 /// Cluster-size scaling model for Fig. 10: coordination costs grow with the
 /// number of nodes relative to the 4-node baseline.

@@ -51,16 +51,16 @@ class TxnStorage : public sql::StorageIface {
     Status st = txn_->Scan(table_id, cb, &visited);
     stats_->row_rows += visited;
     const LatencyModel& m = db_->profile().latency;
-    double per_row = standalone_analytical_
-                         ? static_cast<double>(m.row_analytic_scan_row_ns)
-                         : static_cast<double>(m.row_scan_row_ns) *
-                               scan_penalty_;
+    const double ns =
+        standalone_analytical_
+            ? RowReadCostNs(0, static_cast<double>(visited), m)
+            : static_cast<double>(visited) *
+                  (static_cast<double>(m.row_scan_row_ns) * scan_penalty_);
     // Charge the scan's simulated duration while the pressure marker is
     // held so concurrent operations on this table observe it. Scans slow
     // each other sublinearly (bandwidth sharing).
-    session_->InlineCharge(static_cast<int64_t>(
-        static_cast<double>(visited) * per_row * marker.SelfPressure() /
-        1000.0));
+    session_->InlineCharge(
+        static_cast<int64_t>(ns * marker.SelfPressure() / 1000.0));
     return st;
   }
 
@@ -175,8 +175,8 @@ class TxnStorage : public sql::StorageIface {
     stats_->row_rows += rows;
     if (standalone_analytical_) {
       ScanMarker marker(this, table_id);
-      double ns = static_cast<double>(seeks) * m.row_seek_ns +
-                  static_cast<double>(rows) * m.row_analytic_scan_row_ns;
+      const double ns = RowReadCostNs(static_cast<double>(seeks),
+                                      static_cast<double>(rows), m);
       session_->InlineCharge(
           static_cast<int64_t>(ns * marker.SelfPressure() / 1000.0));
       return;
@@ -279,10 +279,9 @@ sql::ResultSet RenderTrace(const obs::QueryTrace& trace) {
 
 }  // namespace
 
-Session::Session(Database* db)
+Session::Session(Database* db, uint64_t ordinal)
     : db_(db),
-      route_rng_state_(0x9e3779b97f4a7c15ULL ^
-                       reinterpret_cast<uint64_t>(this)),
+      route_rng_state_(0x9e3779b97f4a7c15ULL * (ordinal + 1)),
       trace_level_(db->profile().trace_level) {
   obs::MetricsRegistry& m = db->metrics();
   m_statements_ = m.GetCounter("session.statements");
@@ -358,7 +357,6 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
     last_trace_.level = std::max(trace_level_, 1);
     trace = &last_trace_;
   }
-  predicted_cost_ns_ = -1;
   const int64_t wall_t0 = NowMicros();
   const int64_t charged_before = charged_micros_;
 
@@ -370,15 +368,6 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
   const bool on_replica = last_route_ == RoutedStore::kColumnStore;
   (on_replica ? m_route_col_vec_ : m_route_row_)->Add(1);
   const int64_t actual_us = charged_micros_ - charged_before;
-  if (predicted_cost_ns_ > 0 && actual_us > 0) {
-    // Predicted-vs-actual residual of the deterministic cost comparison,
-    // in percent of the prediction (simulated charge is the ground truth
-    // the router tried to predict).
-    const double predicted_us = predicted_cost_ns_ / 1000.0;
-    m_residual_pct_->Record(static_cast<int64_t>(
-        std::abs(static_cast<double>(actual_us) - predicted_us) * 100.0 /
-        std::max(predicted_us, 1.0)));
-  }
   const char* route = on_replica ? "column/vectorized" : "row/interpreter";
   if (tracing) {
     last_trace_.route = route;
@@ -431,135 +420,51 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     m_replica_unsupported_->Add(1);
   }
 
-  // Effective speedup morsel-driven parallelism gives a vectorized plan
-  // (sub-linear in lanes). Shared by the router's cost estimate and the
-  // post-execution charge so they can never disagree about the model.
-  const auto parallel_factor = [this](int lanes) {
-    if (lanes <= 1) return 1.0;
-    return 1.0 + db_->profile().latency.parallel_efficiency * (lanes - 1);
+  // Each side of the cost comparison is priced by the function that bills
+  // its execution, on estimated counts here and on actual counts after the
+  // run. The residual between the two samples router.cost_residual_pct.
+  const LatencyModel& m = db_->profile().latency;
+  const auto record_residual = [this](double predicted_ns, double actual_ns) {
+    m_residual_pct_->Record(static_cast<int64_t>(
+        std::abs(actual_ns - predicted_ns) * 100.0 /
+        std::max(predicted_ns, 1.0)));
   };
-
-  if (route_to_column && db_->profile().cost_based_routing) {
-    const LatencyModel& m = db_->profile().latency;
-    auto live_rows = [&](int table_id) {
-      const storage::ColumnTable* ct = db_->column_store().table(table_id);
-      return ct != nullptr ? static_cast<double>(ct->LiveRowCount()) : 0.0;
-    };
-    auto slot_rows = [&](int table_id) {
-      const storage::ColumnTable* ct = db_->column_store().table(table_id);
-      return ct != nullptr ? static_cast<double>(ct->SlotCount()) : 0.0;
-    };
+  exec::VecExecOptions vopts;
+  vopts.pool = db_->exec_pool();
+  vopts.morsel_rows = db_->profile().morsel_rows;
+  bool cost_compared = false;
+  exec::VecExecStats replica_est;
+  double row_seeks_est = 0;
+  double row_rows_est = 0;
+  if (route_to_column && db_->profile().cost_based_routing &&
+      shape.seek_driven) {
+    // The row store probes about 1% of the driving table through its index
+    // and joins by one seek per probe into each later table; the replica
+    // sweeps (and hashes) instead, skipping only zone-refuted blocks.
     constexpr double kIndexedSelectivity = 0.01;
-    // Parallel cost term: a replica plan's DRIVING scan fans
-    // out over the worker pool, so its estimated cost shrinks by the
-    // parallel factor. Early-stop LIMIT plans never fan out (the serial
-    // path quits after LIMIT rows) and get no discount; the row store's
-    // seek paths stay serial (and point reads never route here at all),
-    // so seek-dominated shapes still win the comparison. The lane count is
-    // clamped by the driving table's morsel count over its SLOT count
-    // (live + dead — a raw scan walks every slot), exactly the clamp
-    // MorselScan applies — a table smaller than one morsel runs
-    // serially and must not be costed as if it fanned out.
-    const auto col_parallel_for = [&](double driver_slots) {
-      if (shape.early_stop_limit || db_->exec_pool() == nullptr) {
-        return 1.0;
-      }
-      const double per_morsel = static_cast<double>(
-          exec::NormalizedMorselRows(db_->profile().morsel_rows));
-      const auto morsels =
-          static_cast<int>(std::ceil(driver_slots / per_morsel));
-      return parallel_factor(
-          std::min(db_->exec_pool()->lanes(), std::max(1, morsels)));
-    };
-    const auto col_row_ns = static_cast<double>(m.col_vector_row_ns);
-    if (shape.single_table && shape.indexed_path) {
-      // Deterministic cost comparison: the replica serves this plan with a
-      // sweep (it keeps no ordered index), but zone maps let it skip sealed
-      // blocks the plan's sargable bounds refute — so the columnar side is
-      // charged by the fraction of slots a zone-mapped scan actually reads.
-      // The parallel clamp stays on the TOTAL slot count: the morsel
-      // dispatcher partitions every slot and skipping happens per chunk.
-      const double live = live_rows(shape.table_id);
-      const double slots = slot_rows(shape.table_id);
-      double read_frac = 1.0;
-      const storage::ColumnTable* ct =
-          db_->column_store().table(shape.table_id);
-      if (ct != nullptr && slots > 0) {
-        read_frac =
-            static_cast<double>(exec::EstimateScanSlots(stmt, params, *ct)) /
-            slots;
-      }
-      const double col_ns =
-          live * read_frac * col_row_ns / col_parallel_for(slots);
-      const double row_ns =
-          static_cast<double>(m.row_seek_ns) +
-          std::max(1.0, live * kIndexedSelectivity) *
-              static_cast<double>(m.row_analytic_scan_row_ns);
-      if (row_ns < col_ns) {
-        route_to_column = false;
-        m_cost_override_->Add(1);
-      }
-      predicted_cost_ns_ = route_to_column ? col_ns : row_ns;
-    } else if (shape.table_ids.size() > 1 && shape.indexed_driver &&
-               shape.inner_steps_indexed) {
-      // Selective indexed join: the row store drives it with an index probe
-      // and joins by per-row seeks, while the replica must sweep (and hash)
-      // every table. Large joinable analytical statements keep routing to
-      // the replica; only seek-dominated shapes come back.
-      const double driver_live = live_rows(shape.table_ids[0]);
-      double total_live = 0;
-      for (size_t i = 0; i < shape.table_ids.size(); ++i) {
-        total_live += live_rows(shape.table_ids[i]);
-      }
-      double build_live = total_live - driver_live;
-      double stream_live = driver_live;
-      int stream_id = shape.table_ids[0];
-      if (shape.table_ids.size() == 2) {
-        // Two-table joins build from the smaller side and stream the
-        // bigger one (when parity allows), so estimate that split.
-        const double other = live_rows(shape.table_ids[1]);
-        build_live = std::min(driver_live, other);
-        stream_live = std::max(driver_live, other);
-        if (other > driver_live) stream_id = shape.table_ids[1];
-      }
-      // Only the stream-side sweep (and probe) fans out across lanes; the
-      // hash-table builds — their sweeps included — are single-threaded
-      // (HashJoinTable::Build), so they are estimated at the serial rate.
-      const double col_parallel = col_parallel_for(slot_rows(stream_id));
-      // Execution also charges hashing the build sides and emitting joined
-      // tuples (estimated one per streamed row, the fk-join shape); the
-      // estimate mirrors what execution bills.
-      const double col_ns =
-          stream_live * col_row_ns / col_parallel +
-          (total_live - stream_live) * col_row_ns +
-          build_live * static_cast<double>(m.col_join_build_row_ns) +
-          stream_live * static_cast<double>(m.col_join_row_ns) / col_parallel;
-      const double probes = std::max(1.0, driver_live * kIndexedSelectivity);
-      const double inner_seeks =
-          static_cast<double>(shape.table_ids.size() - 1) *
-          static_cast<double>(m.row_seek_ns);
-      const double row_ns =
-          static_cast<double>(m.row_seek_ns) +
-          probes * (static_cast<double>(m.row_analytic_scan_row_ns) +
-                    inner_seeks);
-      if (row_ns < col_ns) {
-        route_to_column = false;
-        m_cost_override_->Add(1);
-      }
-      predicted_cost_ns_ = route_to_column ? col_ns : row_ns;
+    const storage::ColumnTable* driver =
+        db_->column_store().table(shape.table_ids[0]);
+    const double driver_rows =
+        driver != nullptr ? static_cast<double>(driver->LiveRowCount()) : 0;
+    row_rows_est = std::max(1.0, driver_rows * kIndexedSelectivity);
+    row_seeks_est =
+        1 + row_rows_est * static_cast<double>(shape.table_ids.size() - 1);
+    replica_est = exec::EstimateReplicaWork(stmt, params, db_->column_store(),
+                                            vopts);
+    cost_compared = true;
+    if (RowReadCostNs(row_seeks_est, row_rows_est, m) <
+        ReplicaCostNs(replica_est, m)) {
+      route_to_column = false;
+      m_cost_override_->Add(1);
     }
   }
 
   if (route_to_column) {
     // Vectorized columnar execution "as of" the replication watermark.
-    const LatencyModel& m = db_->profile().latency;
     auto& counter = db_->column_store().active_scans();
     const int concurrent = counter.fetch_add(1, std::memory_order_relaxed);
     const uint64_t snapshot_ts = db_->column_store().replicated_ts();
     exec::VecExecStats vstats;
-    exec::VecExecOptions vopts;
-    vopts.pool = db_->exec_pool();
-    vopts.morsel_rows = db_->profile().morsel_rows;
     vopts.trace = trace;
     vopts.morsel_counter = m_morsels_;
     vopts.partitioned_counter = m_agg_partitioned_;
@@ -569,29 +474,13 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     if (rs.ok()) {
       last_route_ = RoutedStore::kColumnStore;
       last_snapshot_ts_ = snapshot_ts;
-      // Parallel lanes overlap the DRIVING scan and probe in wall-clock
-      // terms — divide those by the same factor the router estimated with.
-      // Hash-join builds (their sweeps included) ran serially and are
-      // charged undivided; with a serial execution lanes_used is 1 and the
-      // split is a no-op.
-      const double driver_ns =
-          static_cast<double>(vstats.rows_scanned_driver) *
-              static_cast<double>(m.col_vector_row_ns) +
-          static_cast<double>(vstats.rows_joined) *
-              static_cast<double>(m.col_join_row_ns);
-      const double build_ns =
-          static_cast<double>(vstats.rows_scanned -
-                              vstats.rows_scanned_driver) *
-              static_cast<double>(m.col_vector_row_ns) +
-          static_cast<double>(vstats.rows_built) *
-              static_cast<double>(m.col_join_build_row_ns);
+      const double ns = ReplicaCostNs(vstats, m);
+      if (cost_compared) record_residual(ReplicaCostNs(replica_est, m), ns);
       // Concurrent replica scans slow each other sublinearly (bandwidth
       // sharing).
       double pressure = 1.0;
       if (concurrent > 0) pressure += 0.15 * m.scan_contention * concurrent;
-      InlineCharge(static_cast<int64_t>(
-          (driver_ns / parallel_factor(vstats.lanes_used) + build_ns) *
-          pressure / 1000.0));
+      InlineCharge(static_cast<int64_t>(ns * pressure / 1000.0));
       ChargeStatement(stats);
       FlushCharge();
       return rs;
@@ -602,7 +491,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     // interpreter's diagnostics. The aborted attempt charged nothing; drop
     // the partial ops it traced.
     m_replica_unsupported_->Add(1);
-    predicted_cost_ns_ = -1;  // the prediction was for the replica side
+    cost_compared = false;  // the prediction was for the replica side
     if (trace != nullptr) {
       trace->ops.clear();
       trace->lanes = 1;
@@ -642,6 +531,11 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
     }
     FlushCharge();
     return rs.status();
+  }
+  if (cost_compared) {
+    record_residual(RowReadCostNs(row_seeks_est, row_rows_est, m),
+                    RowReadCostNs(static_cast<double>(stats.row_seeks),
+                                  static_cast<double>(stats.row_rows), m));
   }
 
   if (in_txn) {

@@ -118,7 +118,10 @@ class Session {
 
  private:
   friend class Database;
-  explicit Session(Database* db);
+  /// `ordinal` numbers the sessions of one Database in open order; it seeds
+  /// the stochastic router, so a statement stream routes the same way from
+  /// run to run.
+  Session(Database* db, uint64_t ordinal);
 
   struct Prepared {
     std::unique_ptr<sql::CompiledStatement> compiled;
@@ -161,10 +164,6 @@ class Session {
   bool charging_enabled_ = true;
   int trace_level_ = 0;  ///< seeded from profile().trace_level at open
   obs::QueryTrace last_trace_;
-  /// Router cost estimate (ns) for the chosen side of the most recent
-  /// deterministic cost comparison; < 0 when the statement's shape never
-  /// reached the comparison. Feeds the predicted-vs-actual residual metric.
-  double predicted_cost_ns_ = -1;
   // Metric handles resolved once at session open (stable pointers into the
   // database's registry; hot paths never touch the name map).
   obs::Counter* m_statements_ = nullptr;

@@ -317,6 +317,14 @@ struct ChunkParts {
   std::array<uint32_t, kAggPartitions + 1> offs{};
 };
 
+/// The serial scan may stop once LIMIT rows are collected: a plain
+/// projection with a LIMIT and no ORDER BY or DISTINCT. Such plans never
+/// fan out (a parallel sweep would waste the early exit).
+bool CanStopEarly(const BoundSelect& plan) {
+  return !plan.aggregate_mode && plan.order_by.empty() && !plan.distinct &&
+         plan.limit >= 0;
+}
+
 /// The shared tail of both pipelines: consumes filtered (chunk, selection)
 /// pairs — real replica chunks in the single-table case, materialized
 /// joined batches in the join case — and runs DISTINCT / hash aggregation /
@@ -327,11 +335,7 @@ struct ChunkParts {
 class VecSink {
  public:
   VecSink(const BoundSelect& plan, const LowerInputs& in)
-      : plan_(plan), in_(in) {}
-
-  /// The serial path may stop scanning once LIMIT rows are collected; such
-  /// plans never go parallel (a full sweep would waste the early exit).
-  bool can_stop_early() const { return can_stop_early_; }
+      : plan_(plan), in_(in), can_stop_early_(CanStopEarly(plan)) {}
 
   /// Aggregation with a GROUP BY: the shape the partitioned combine serves.
   bool grouped() const {
@@ -390,8 +394,6 @@ class VecSink {
         if (!lowered.ok()) return lowered.status();
         order_exprs_.push_back(std::move(lowered).value());
       }
-      can_stop_early_ =
-          plan_.order_by.empty() && !plan_.distinct && plan_.limit >= 0;
     }
     return Status::OK();
   }
@@ -798,7 +800,7 @@ class VecSink {
   std::vector<VExpr> proj_exprs_;   // non-agg mode only
   std::vector<VExpr> order_exprs_;  // non-agg mode, one per expr order item
   bool single_int_key_ = false;
-  bool can_stop_early_ = false;
+  const bool can_stop_early_;
 };
 
 // LiveRows/ApplyConjuncts live in vexpr.{h,cc}: the scan, hash-build and
@@ -931,12 +933,26 @@ SinkState MergePartials(const BoundSelect& plan, const VecSink& sink,
 /// Whether this execution should fan out over the pool. Early-stop plans
 /// stay serial: their serial scan terminates after LIMIT rows while a
 /// parallel sweep would visit everything.
-bool UseParallel(const VecExecOptions& opts, const VecSink& sink) {
-  return opts.pool != nullptr && opts.pool->lanes() > 1 &&
-         !sink.can_stop_early();
+bool UseParallel(const VecExecOptions& opts, const BoundSelect& plan) {
+  return opts.pool != nullptr && opts.pool->lanes() > 1 && !CanStopEarly(plan);
 }
 
-// NormalizedMorselRows lives in vectorized.h (the router mirrors it).
+/// Morsel granularity rounded up to whole vector chunks so parallel lanes
+/// see exactly the chunk boundaries a serial scan would produce (per-chunk
+/// vector typing makes boundaries observable).
+size_t NormalizedMorselRows(size_t morsel_rows) {
+  const size_t rows = std::max(morsel_rows, kVecChunkRows);
+  return (rows + kVecChunkRows - 1) / kVecChunkRows * kVecChunkRows;
+}
+
+/// Lanes a fan-out over a table of `slots` slots engages: the pool's,
+/// clamped to the morsel count (a table under one morsel runs on one lane).
+int FanOutLanes(const VecExecOptions& opts, size_t slots) {
+  const size_t morsel = NormalizedMorselRows(opts.morsel_rows);
+  const size_t morsels = (slots + morsel - 1) / morsel;
+  return static_cast<int>(std::min(static_cast<size_t>(opts.pool->lanes()),
+                                   std::max<size_t>(1, morsels)));
+}
 
 /// Per-driver block accounting: chunk-sized blocks actually read vs.
 /// skipped whole via the zone-map mask.
@@ -960,9 +976,7 @@ class MorselScan {
         skip_(pin_.ComputeSkipMask(preds)),
         dispatcher_(pin_.total_slots(),
                     NormalizedMorselRows(opts.morsel_rows)),
-        lanes_(static_cast<int>(std::min<size_t>(
-            static_cast<size_t>(opts.pool->lanes()),
-            std::max<size_t>(1, dispatcher_.morsel_count())))),
+        lanes_(FanOutLanes(opts, pin_.total_slots())),
         lane_visited_(static_cast<size_t>(lanes_), 0),
         lane_blocks_(static_cast<size_t>(lanes_)) {}
 
@@ -1360,7 +1374,7 @@ StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
   // mask, so they skip identically.
   const std::vector<storage::ZonePred> zpreds = ExtractZonePreds(filters);
 
-  if (UseParallel(opts, sink)) {
+  if (UseParallel(opts, plan)) {
     return RunSingleTableParallel(plan, table, filters, zpreds, sink, opts,
                                   stats);
   }
@@ -1600,27 +1614,54 @@ bool SwapPreservesParity(const BoundSelect& plan) {
   return true;
 }
 
+/// Splits every join step's filters (ClassifyJoinStep); false when a step
+/// has no equi-join key, i.e. the plan is not hash-joinable.
+bool ClassifyJoinSteps(const BoundSelect& plan,
+                       std::vector<JoinStepPlan>* cls) {
+  cls->assign(plan.steps.size(), JoinStepPlan{});
+  for (size_t k = 1; k < plan.steps.size(); ++k) {
+    if (!ClassifyJoinStep(plan, k, &(*cls)[k])) return false;
+  }
+  return true;
+}
+
+/// The step a plan's driving scan sweeps, and the conjuncts local to it.
+/// Step 0 with its filters, except in a two-table join with the smaller
+/// table first: that join streams the bigger table and builds the hash
+/// table from the smaller one, when the changed driving order cannot leak
+/// into results (SwapPreservesParity). Every other step is a build side.
+struct StreamSide {
+  size_t step = 0;
+  std::vector<const BoundExpr*> locals;
+};
+
+StreamSide ChooseStream(
+    const BoundSelect& plan, const std::vector<JoinStepPlan>& cls,
+    const std::vector<const storage::ColumnTable*>& tables) {
+  StreamSide side;
+  if (plan.steps.size() == 2 && SwapPreservesParity(plan) &&
+      tables[0]->LiveRowCount() < tables[1]->LiveRowCount()) {
+    side.step = 1;
+    side.locals = cls[1].locals;
+    return side;
+  }
+  for (const auto& f : plan.steps[0].filters) side.locals.push_back(f.get());
+  return side;
+}
+
 StatusOr<sql::ResultSet> RunHashJoin(
     const BoundSelect& plan, const LowerInputs& in,
     const std::vector<const storage::ColumnTable*>& tables,
     std::span<const ValueType> slot_types, const VecSink& sink,
     const VecExecOptions& opts, VecExecStats* stats) {
   const size_t nsteps = plan.steps.size();
-  std::vector<JoinStepPlan> cls(nsteps);
-  for (size_t k = 1; k < nsteps; ++k) {
-    if (!ClassifyJoinStep(plan, k, &cls[k])) {
-      return Status::Unsupported("join step without an equi-join key");
-    }
+  std::vector<JoinStepPlan> cls;
+  if (!ClassifyJoinSteps(plan, &cls)) {
+    return Status::Unsupported("join step without an equi-join key");
   }
-
-  // Stream the bigger side and build the hash table from the smaller one
-  // when the join is a plain two-table shape and the changed driving order
-  // cannot leak into results (SwapPreservesParity).
-  size_t stream = 0;
-  const bool swapped =
-      nsteps == 2 && SwapPreservesParity(plan) &&
-      tables[0]->LiveRowCount() < tables[1]->LiveRowCount();
-  if (swapped) stream = 1;
+  const StreamSide side = ChooseStream(plan, cls, tables);
+  const size_t stream = side.step;
+  const bool swapped = stream != 0;
 
   const TableStep& sstep = plan.steps[stream];
   std::vector<ValueType> stream_types = SchemaTypes(*sstep.schema);
@@ -1656,17 +1697,9 @@ StatusOr<sql::ResultSet> RunHashJoin(
   }
 
   // Stream-side local filters (evaluated on the raw chunk).
-  std::vector<const BoundExpr*> stream_locals;
-  if (swapped) {
-    stream_locals = cls[1].locals;
-  } else {
-    for (const auto& f : plan.steps[0].filters) {
-      stream_locals.push_back(f.get());
-    }
-  }
   std::vector<VExpr> stream_filters;
-  stream_filters.reserve(stream_locals.size());
-  for (const BoundExpr* f : stream_locals) {
+  stream_filters.reserve(side.locals.size());
+  for (const BoundExpr* f : side.locals) {
     auto lowered = LowerExprSlots(*f, stream_types, sstep.base, in);
     if (!lowered.ok()) return lowered.status();
     stream_filters.push_back(std::move(lowered).value());
@@ -1773,7 +1806,7 @@ StatusOr<sql::ResultSet> RunHashJoin(
       ExtractZonePreds(stream_filters);
 
   const bool tracing = opts.trace != nullptr;
-  if (UseParallel(opts, sink)) {
+  if (UseParallel(opts, plan)) {
     // Parallel probe fan-out: every lane owns a pipeline (its own batch
     // buffers and stats) over the shared immutable levels, and each morsel
     // of the stream table accumulates into its own partial sink state.
@@ -1981,10 +2014,8 @@ bool CanVectorize(const BoundSelect& p) {
   if (p.steps.empty()) return false;
   // Joins: every non-driver step must be reachable through at least one
   // equi-join conjunct (hash-joinable); anything else runs on the row store.
-  for (size_t k = 1; k < p.steps.size(); ++k) {
-    JoinStepPlan tmp;
-    if (!ClassifyJoinStep(p, k, &tmp)) return false;
-  }
+  std::vector<JoinStepPlan> cls;
+  if (!ClassifyJoinSteps(p, &cls)) return false;
   // Every subquery runs through this engine too.
   return sql::ForEachSubquery(p, [](const BoundExpr& e) {
            return CanVectorize(*e.subplan)
@@ -1998,28 +2029,13 @@ bool CanVectorize(const BoundSelect& p) {
 PlanShape InspectPlan(const sql::CompiledStatement& stmt) {
   PlanShape s;
   const auto& impl = stmt.impl();
-  s.is_select = impl.kind == sql::StmtKind::kSelect;
-  if (!s.is_select || !impl.select) return s;
+  if (impl.kind != sql::StmtKind::kSelect || !impl.select) return s;
   const BoundSelect& p = *impl.select;
-  if (p.steps.size() == 1) {
-    s.single_table = true;
-    s.table_id = p.steps[0].table_id;
-    s.indexed_path = p.steps[0].path != TableStep::Path::kFull;
-  }
-  // Must mirror VecSink::Init's can_stop_early_ derivation exactly.
-  s.early_stop_limit =
-      !p.aggregate_mode && p.order_by.empty() && !p.distinct && p.limit >= 0;
   s.table_ids.reserve(p.steps.size());
-  for (const TableStep& step : p.steps) s.table_ids.push_back(step.table_id);
-  if (!p.steps.empty()) {
-    s.indexed_driver = p.steps[0].path != TableStep::Path::kFull;
-    s.inner_steps_indexed = p.steps.size() > 1;
-    for (size_t k = 1; k < p.steps.size(); ++k) {
-      if (p.steps[k].path == TableStep::Path::kFull) {
-        s.inner_steps_indexed = false;
-        break;
-      }
-    }
+  s.seek_driven = !p.steps.empty();
+  for (const TableStep& step : p.steps) {
+    s.table_ids.push_back(step.table_id);
+    if (step.path == TableStep::Path::kFull) s.seek_driven = false;
   }
   s.vectorizable = CanVectorize(p);
   return s;
@@ -2039,25 +2055,52 @@ StatusOr<sql::ResultSet> ExecuteVectorized(const sql::CompiledStatement& stmt,
                    stats);
 }
 
-size_t EstimateScanSlots(const sql::CompiledStatement& stmt,
-                         std::span<const Value> params,
-                         const storage::ColumnTable& table) {
+VecExecStats EstimateReplicaWork(const sql::CompiledStatement& stmt,
+                                 std::span<const Value> params,
+                                 const storage::ColumnStore& store,
+                                 const VecExecOptions& opts) {
+  VecExecStats est;
   const auto& impl = stmt.impl();
   if (impl.kind != sql::StmtKind::kSelect || !impl.select ||
-      impl.select->steps.size() != 1) {
-    return table.SlotCount();
+      impl.select->steps.empty()) {
+    return est;
   }
-  const std::vector<ValueType> types = SchemaTypes(table.schema());
+  const BoundSelect& plan = *impl.select;
+  std::vector<const storage::ColumnTable*> tables;
+  for (const TableStep& step : plan.steps) {
+    tables.push_back(store.table(step.table_id));
+    if (tables.back() == nullptr) return est;
+  }
+  std::vector<JoinStepPlan> cls;
+  if (!ClassifyJoinSteps(plan, &cls)) return est;
+  const StreamSide side = ChooseStream(plan, cls, tables);
+
+  // Zone bounds of the stream's local conjuncts. A conjunct that does not
+  // lower here (it reads a subquery not yet run) bounds nothing.
+  const TableStep& sstep = plan.steps[side.step];
+  const std::vector<ValueType> types = SchemaTypes(*sstep.schema);
   std::vector<VExpr> filters;
-  filters.reserve(impl.select->steps[0].filters.size());
-  for (const auto& f : impl.select->steps[0].filters) {
-    auto lowered = LowerExprSlots(*f, types, 0, LowerInputs{params});
-    if (!lowered.ok()) return table.SlotCount();  // e.g. a subquery
-    filters.push_back(std::move(lowered).value());
+  for (const BoundExpr* f : side.locals) {
+    auto lowered = LowerExprSlots(*f, types, sstep.base, LowerInputs{params});
+    if (lowered.ok()) filters.push_back(std::move(lowered).value());
   }
-  const std::vector<storage::ZonePred> preds = ExtractZonePreds(filters);
-  if (preds.empty()) return table.SlotCount();
-  return table.EstimateScanSlots(preds);
+  size_t slots = 0;
+  {
+    storage::ColumnTable::ScanPin pin(*tables[side.step]);
+    slots = pin.total_slots();
+    est.rows_scanned_driver = static_cast<int64_t>(
+        pin.LiveRowsRead(pin.ComputeSkipMask(ExtractZonePreds(filters))));
+  }
+  est.lanes_used = UseParallel(opts, plan) ? FanOutLanes(opts, slots) : 1;
+  est.rows_scanned = est.rows_scanned_driver;
+  for (size_t k = 0; k < tables.size(); ++k) {
+    if (k == side.step) continue;
+    const auto live = static_cast<int64_t>(tables[k]->LiveRowCount());
+    est.rows_scanned += live;
+    est.rows_built += live;
+  }
+  if (tables.size() > 1) est.rows_joined = est.rows_scanned_driver;
+  return est;
 }
 
 }  // namespace olxp::exec

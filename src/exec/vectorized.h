@@ -51,44 +51,25 @@ class WorkerPool;
 /// keep a chunk's working vectors cache-resident.
 inline constexpr size_t kVecChunkRows = 1024;
 
-/// Morsel granularity rounded up to whole vector chunks so parallel lanes
-/// see exactly the chunk boundaries a serial BatchScan would produce
-/// (per-chunk vector typing makes boundaries observable). Public so the
-/// engine's router can mirror the fan-out's lane clamp when estimating the
-/// parallel discount.
-inline constexpr size_t NormalizedMorselRows(size_t morsel_rows) {
-  size_t rows = morsel_rows > kVecChunkRows ? morsel_rows : kVecChunkRows;
-  return (rows + kVecChunkRows - 1) / kVecChunkRows * kVecChunkRows;
-}
-
 /// Static plan summary consumed by the engine's cost-based router.
 struct PlanShape {
-  bool is_select = false;
-  bool single_table = false;
-  int table_id = -1;
-  /// The row store could serve this plan through a pk/secondary-index path
-  /// instead of a full scan (the replica cannot: it has no ordered index).
-  bool indexed_path = false;
   /// The vectorized engine can lower the plan: every non-driver table is
   /// linked to the tables joined before it by an equi-join conjunct
   /// (hash-joinable), and every subquery's plan is vectorizable in turn.
   bool vectorizable = false;
-  /// The serial vectorized path stops scanning once LIMIT rows are
-  /// collected (non-aggregate, no ORDER BY, no DISTINCT). Such plans never
-  /// fan out, so the router must not apply the parallel cost discount.
-  bool early_stop_limit = false;
+  /// The row store serves the plan by seeks: the driving step has an
+  /// index-backed access path, and so does every join step after it. The
+  /// replica keeps no ordered index and sweeps instead, so only these
+  /// shapes are worth a cost comparison.
+  bool seek_driven = false;
   /// Tables read by the plan, in join order (empty for non-SELECTs).
   std::vector<int> table_ids;
-  /// The driving (first) step has an index-backed access path.
-  bool indexed_driver = false;
-  /// Every non-driver join step has an index-backed access path (the row
-  /// store joins by seeks instead of scans).
-  bool inner_steps_indexed = false;
 };
 
 PlanShape InspectPlan(const sql::CompiledStatement& stmt);
 
-/// Access accounting for the latency model.
+/// Access accounting for the latency model: what execution reports, or
+/// what EstimateReplicaWork predicts. engine::ReplicaCostNs prices either.
 struct VecExecStats {
   int64_t rows_scanned = 0;  ///< live rows visited on the replica (all scans)
   /// Subset of rows_scanned visited by the DRIVING scan (the single-table
@@ -99,8 +80,8 @@ struct VecExecStats {
   int64_t rows_built = 0;    ///< rows materialized into join hash tables
   int64_t rows_joined = 0;   ///< joined tuples emitted by probe stages
   /// Execution lanes the driving scan actually engaged (1 = serial). The
-  /// latency model divides the vectorized work by the effective parallel
-  /// speedup derived from this.
+  /// latency model divides the driving scan and probe by the effective
+  /// parallel speedup derived from this.
   int lanes_used = 1;
   /// Chunk-sized blocks the driving scan read vs. skipped outright via
   /// zone maps (sealed blocks whose min/max refute a filter conjunct).
@@ -143,15 +124,20 @@ StatusOr<sql::ResultSet> ExecuteVectorized(const sql::CompiledStatement& stmt,
                                            const VecExecOptions& opts,
                                            VecExecStats* stats);
 
-/// Slots a vectorized scan of `table` would actually read for this plan:
-/// single-table SELECT filters are lowered, zone-refutable bounds extracted,
-/// and `table`'s block zone maps consulted (sealed blocks a predicate can
-/// refute drop out; the tail always counts). Any non-lowerable shape falls
-/// back to SlotCount(). The router's cost model charges columnar scans by
-/// this instead of the raw slot count.
-size_t EstimateScanSlots(const sql::CompiledStatement& stmt,
-                         std::span<const Value> params,
-                         const storage::ColumnTable& table);
+/// The work ExecuteVectorized would bill for this statement, estimated
+/// without running it, through the helpers execution itself calls: the
+/// same stream side for a join, the same lane clamp for the fan-out, and
+/// the zone-map skip mask of the pinned driving table. rows_scanned_driver
+/// counts the live rows of the chunks the mask keeps; build sides count
+/// every live row, all of them built (no build-side filter or NULL key is
+/// assumed to drop any); one joined tuple is assumed per streamed row. A
+/// plan whose serial scan stops early at LIMIT is estimated as the full
+/// sweep, and subqueries are not estimated. Returns zeros for a statement
+/// the replica cannot run.
+VecExecStats EstimateReplicaWork(const sql::CompiledStatement& stmt,
+                                 std::span<const Value> params,
+                                 const storage::ColumnStore& store,
+                                 const VecExecOptions& opts);
 
 }  // namespace olxp::exec
 

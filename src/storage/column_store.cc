@@ -210,6 +210,16 @@ std::vector<uint8_t> ColumnTable::ScanPin::ComputeSkipMask(
   return mask;
 }
 
+size_t ColumnTable::ScanPin::LiveRowsRead(
+    std::span<const uint8_t> skip) const {
+  size_t rows = 0;
+  for (size_t b = 0; b < num_blocks_; ++b) {
+    if (b >= skip.size() || skip[b] == 0) rows += blocks_[b].live_count;
+  }
+  for (size_t s = sealed_; s < total_; ++s) rows += live_[s];  // the tail
+  return rows;
+}
+
 std::optional<Row> ColumnTable::Get(const Row& pk) const {
   sync::ReaderLock lk(mu_);
   auto it = pk_to_slot_.find(pk);
@@ -229,25 +239,6 @@ size_t ColumnTable::LiveRowCount() const {
 size_t ColumnTable::SlotCount() const {
   sync::ReaderLock lk(mu_);
   return live_.size();
-}
-
-size_t ColumnTable::EstimateScanSlots(std::span<const ZonePred> preds) const {
-  sync::ReaderLock lk(mu_);
-  size_t slots = live_.size() - sealed_slots_;  // the tail is always read
-  for (const ColumnBlock& blk : blocks_) {
-    if (blk.live_count == 0) continue;
-    bool skip = false;
-    for (const ZonePred& p : preds) {
-      if (p.col < 0 || p.col >= static_cast<int>(blk.cols.size())) continue;
-      const EncodedColumn& c = blk.cols[p.col];
-      if (ZoneExcludes(p, c.zone_min(), c.zone_max())) {
-        skip = true;
-        break;
-      }
-    }
-    if (!skip) slots += kBlockSlots;
-  }
-  return slots;
 }
 
 size_t ColumnTable::EncodedBytes() const {

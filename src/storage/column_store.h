@@ -119,13 +119,8 @@ class ColumnTable {
 
   /// Total storage slots (live + dead). A raw scan — serial or morsel-
   /// driven — walks every slot, so this is the size the morsel dispatcher
-  /// partitions and the router's fan-out estimate must mirror.
+  /// partitions.
   size_t SlotCount() const;
-
-  /// Slots a scan with these zone predicates would actually read: sealed
-  /// blocks whose zones cannot refute the predicates, plus the tail. The
-  /// router's cost model charges columnar scans by this, not SlotCount().
-  size_t EstimateScanSlots(std::span<const ZonePred> preds) const;
 
   /// Footprint of the current storage: encoded bytes as held in memory vs.
   /// the boxed-Value bytes the same data would occupy. The tail counts as
@@ -178,6 +173,10 @@ class ColumnTable {
     /// refutes it. Tail chunks are never skippable (no zones yet).
     std::vector<uint8_t> ComputeSkipMask(
         std::span<const ZonePred> preds) const;
+
+    /// Live rows a scan under `skip` (a ComputeSkipMask result) visits: the
+    /// live slots of every chunk the mask keeps.
+    size_t LiveRowsRead(std::span<const uint8_t> skip) const;
 
    private:
     const ColumnTable& table_;

@@ -12,6 +12,9 @@
 
 #include "common/rng.h"
 #include "common/value.h"
+#include "exec/vectorized.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 #include "storage/column_block.h"
 #include "storage/column_store.h"
 #include "storage/schema.h"
@@ -271,6 +274,27 @@ LogOp Delete(int64_t k) {
   return op;
 }
 
+/// Catalog of one table (id 0), for compiling statements against a bare
+/// ColumnStore.
+class OneTableCatalog : public sql::Catalog {
+ public:
+  explicit OneTableCatalog(TableSchema schema) : schema_(std::move(schema)) {}
+  StatusOr<int> TableId(std::string_view name) const override {
+    if (name != schema_.name()) return Status::NotFound("no such table");
+    return 0;
+  }
+  const TableSchema& GetSchema(int) const override { return schema_; }
+
+ private:
+  TableSchema schema_;
+};
+
+/// Live rows a scan of `t` under `preds` reads once zone maps skip blocks.
+size_t LiveRowsRead(const ColumnTable& t, std::span<const ZonePred> preds) {
+  ColumnTable::ScanPin pin(t);
+  return pin.LiveRowsRead(pin.ComputeSkipMask(preds));
+}
+
 TEST(ColumnBlocks, SealedTablesAgreeAcrossRawAndEncoded) {
   ColumnTable enc(KvSchema(), /*encode=*/true);
   ColumnTable raw(KvSchema(), /*encode=*/false);
@@ -312,7 +336,9 @@ TEST(ColumnBlocks, SealedTablesAgreeAcrossRawAndEncoded) {
 }
 
 TEST(ColumnBlocks, SkipMaskMatchesBruteForceAndEstimates) {
-  ColumnTable t(KvSchema());
+  ColumnStore store;
+  store.AddTable(0, KvSchema());
+  ColumnTable& t = *store.table(0);
   for (int64_t k = 0; k < 5000; ++k) t.Apply(Upsert(k));  // 4 blocks + tail
   ASSERT_EQ(t.SealedBlockCount(), 4u);
 
@@ -332,13 +358,22 @@ TEST(ColumnBlocks, SkipMaskMatchesBruteForceAndEstimates) {
     EXPECT_EQ(mask[3], 1);
     EXPECT_EQ(mask[4], 0);  // tail is never skippable
   }
-  // The router's estimate charges exactly the non-skipped slots. The pin
-  // must be gone first: EstimateScanSlots takes its own shared latch, and
-  // re-acquiring a latch this thread already holds is UB (and deadlocks
-  // behind a queued writer) — the router only ever estimates BEFORE
-  // pinning, so the test mirrors that order.
-  EXPECT_EQ(t.EstimateScanSlots(preds),
-            2 * kBlockSlots + (5000 - 4 * kBlockSlots));
+  // The router's estimate counts exactly the rows of the non-skipped
+  // chunks. The pin must be gone first: the estimate pins the table itself,
+  // and re-acquiring a latch this thread already holds is UB (and
+  // deadlocks behind a queued writer) — the router only ever estimates
+  // BEFORE execution pins, so the test keeps that order.
+  auto parsed = sql::Parse("SELECT v FROM kv WHERE k < 1500");
+  ASSERT_TRUE(parsed.ok());
+  const OneTableCatalog catalog(KvSchema());  // the plan points into it
+  auto stmt = sql::Compile(*parsed, catalog);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  const exec::VecExecStats est =
+      exec::EstimateReplicaWork(**stmt, {}, store, exec::VecExecOptions{});
+  EXPECT_EQ(est.rows_scanned_driver,
+            static_cast<int64_t>(2 * kBlockSlots + (5000 - 4 * kBlockSlots)));
+  EXPECT_EQ(est.rows_scanned, est.rows_scanned_driver);
+  EXPECT_EQ(est.lanes_used, 1);
 }
 
 TEST(ColumnBlocks, DeleteChurnTriggersReencodeAndTightensZones) {
@@ -359,11 +394,11 @@ TEST(ColumnBlocks, DeleteChurnTriggersReencodeAndTightensZones) {
   pred.col = 0;
   pred.op = ZonePred::Op::kLt;
   pred.lit = Value::Int(500);
-  EXPECT_EQ(t.EstimateScanSlots(std::span<const ZonePred>(&pred, 1)),
+  EXPECT_EQ(LiveRowsRead(t, std::span<const ZonePred>(&pred, 1)),
             100u);  // tail only
   pred.lit = Value::Int(600);
-  EXPECT_EQ(t.EstimateScanSlots(std::span<const ZonePred>(&pred, 1)),
-            kBlockSlots + 100);
+  EXPECT_EQ(LiveRowsRead(t, std::span<const ZonePred>(&pred, 1)),
+            kBlockSlots - 512 + 100);  // the block's survivors + tail
 
   // Survivors still read back exactly.
   for (int64_t k = 512; k < static_cast<int64_t>(kBlockSlots) + 100; ++k) {
@@ -377,7 +412,7 @@ TEST(ColumnBlocks, DeleteChurnTriggersReencodeAndTightensZones) {
   for (int64_t k = 512; k < static_cast<int64_t>(kBlockSlots); ++k) {
     t.Apply(Delete(k));
   }
-  EXPECT_EQ(t.EstimateScanSlots({}), 100u);
+  EXPECT_EQ(LiveRowsRead(t, {}), 100u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/database.h"
 #include "engine/session.h"
 
@@ -62,6 +64,36 @@ TEST(Session, RoutingRules) {
   // Writes always row store.
   ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (5, 6)").ok());
   EXPECT_EQ(s->last_route(), RoutedStore::kRowStore);
+}
+
+TEST(Session, StochasticRoutingRepeatsAcrossDatabases) {
+  // The olap_row_fraction draw is seeded by the session's ordinal within
+  // its Database, not by its address: two live Databases and sessions (so
+  // every object sits at a different address) given the same statement
+  // stream route it the same way, statement for statement.
+  EngineProfile p = EngineProfile::TiDbLike();  // olap_row_fraction 0.65
+  p.replication_lag_micros = 0;
+  Database db1(p);
+  Database db2(p);
+  auto s1 = db1.CreateSession();
+  auto s2 = db2.CreateSession();
+  auto routes = [](Database& db, Session* s) {
+    s->set_charging_enabled(false);
+    EXPECT_TRUE(s->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
+    EXPECT_TRUE(s->Execute("INSERT INTO t VALUES (1, 2), (3, 4)").ok());
+    db.WaitReplicaCaughtUp();
+    std::string seq;
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_TRUE(s->Execute("SELECT SUM(b) FROM t").ok());
+      seq += s->last_route() == RoutedStore::kColumnStore ? 'c' : 'r';
+    }
+    return seq;
+  };
+  const std::string first = routes(db1, s1.get());
+  EXPECT_EQ(routes(db2, s2.get()), first);
+  // Both stores serve some of the stream: the draw is really in play.
+  EXPECT_NE(first.find('c'), std::string::npos) << first;
+  EXPECT_NE(first.find('r'), std::string::npos) << first;
 }
 
 TEST(Session, PreparedCacheEvictsLeastRecentlyUsed) {

@@ -205,6 +205,27 @@ class LintFixtureTest(unittest.TestCase):
             {"src/storage/column_block.h": "size_t n = columns_.size();\n"},
             [])
 
+    # ---- cost-model ----
+
+    def test_cost_rate_outside_profile_fails(self):
+        self.assert_rules(
+            {"src/engine/session.cc":
+             "double ns = rows * m.col_vector_row_ns;\n"
+             "double f = 1.0 + m.parallel_efficiency * (lanes - 1);\n"},
+            ["cost-model", "cost-model"])
+
+    def test_cost_rate_in_profile_passes(self):
+        self.assert_rules(
+            {"src/engine/profile.cc":
+             "return rows * static_cast<double>(m.col_join_row_ns);\n",
+             "src/engine/profile.h": "int64_t row_analytic_scan_row_ns;\n"},
+            [])
+
+    def test_cost_rate_outside_src_passes(self):
+        # Benches and tests may set the rates on a profile.
+        self.assert_rules(
+            {"bench/fig.cc": "p.latency.col_join_build_row_ns = 0;\n"}, [])
+
     # ---- blocking-under-lock ----
 
     def test_fsync_under_mutex_lock_fails(self):

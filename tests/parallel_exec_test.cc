@@ -17,6 +17,8 @@
 #include "engine/database.h"
 #include "engine/session.h"
 #include "exec/morsel.h"
+#include "exec/vectorized.h"
+#include "sql/parser.h"
 #include "tests/result_strings.h"
 
 namespace olxp {
@@ -530,6 +532,110 @@ TEST(ParallelRouting, ParallelCostTermPullsIndexedScansToReplica) {
   ASSERT_TRUE(
       s->Execute("SELECT SUM(v) FROM tiny WHERE k >= 10 AND k <= 20").ok());
   EXPECT_EQ(s->last_route(), engine::RoutedStore::kRowStore);
+}
+
+/// Inserts keys 0..rows-1 into `table (k, v)` in a fixed shuffled order, so
+/// every sealed block's zone map spans the whole key range.
+void InsertShuffled(engine::Session* s, const std::string& table, int rows) {
+  uint64_t lcg = 1;
+  std::vector<int> keys(rows);
+  for (int k = 0; k < rows; ++k) keys[k] = k;
+  for (int k = rows - 1; k > 0; --k) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::swap(keys[k], keys[lcg % (k + 1)]);
+  }
+  for (int k : keys) {
+    ASSERT_TRUE(s->Execute("INSERT INTO " + table + " VALUES (?, ?)",
+                           {Value::Int(k), Value::Int(k)})
+                    .ok());
+  }
+}
+
+/// The router prices its estimate with the function that bills execution,
+/// so when the estimate counts exactly what execution does, the recorded
+/// residual is 0: no statement overhead or scan pressure leaks into it.
+/// The 1 ms statement overhead lifts that leak well above the histogram's
+/// 1% resolution (TiDbLike's 35 us is under 1% of this replica sweep).
+TEST(ParallelRouting, ExactEstimateRecordsZeroResidual) {
+  auto p = ParallelProfile(8);
+  p.cost_based_routing = true;
+  p.latency.statement_overhead_ns = 1000000;
+  engine::Database db(p);
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(s->Execute("CREATE TABLE ix (k INT PRIMARY KEY, v INT)").ok());
+  InsertShuffled(s.get(), "ix", 20000);
+  db.WaitReplicaCaughtUp();
+
+  ASSERT_TRUE(s->Execute("SELECT SUM(v) FROM ix WHERE k >= 10 AND k <= 20")
+                  .ok());
+  ASSERT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
+  const LatencyHistogram residual =
+      db.metrics().GetHistogram("router.cost_residual_pct")->Snapshot();
+  EXPECT_EQ(residual.count(), 1);
+  EXPECT_EQ(residual.max(), 0);
+}
+
+/// exec::EstimateReplicaWork counts what execution then reports, because
+/// both go through the same stream choice, lane clamp and skip mask. The
+/// join without parity (LIMIT, no ORDER BY) keeps its smaller driver as
+/// the stream side; its LIMIT exceeds the join's rows, so the serial scan
+/// runs to the end, the full sweep the estimate assumes.
+TEST(ParallelRouting, ReplicaEstimateMatchesExecution) {
+  engine::Database db(ParallelProfile(1));
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(
+      s->Execute("CREATE TABLE big (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(
+      s->Execute("CREATE TABLE small (k INT PRIMARY KEY, r INT)").ok());
+  for (int k = 0; k < 20000; ++k) {
+    ASSERT_TRUE(s->Execute("INSERT INTO big VALUES (?, ?)",
+                           {Value::Int(k), Value::Int(k % 97)})
+                    .ok());
+  }
+  for (int k = 0; k < 3000; ++k) {
+    ASSERT_TRUE(s->Execute("INSERT INTO small VALUES (?, ?)",
+                           {Value::Int(k), Value::Int(k * 7 % 20000)})
+                    .ok());
+  }
+  // Dead slots in sealed blocks: the counts are of live rows.
+  ASSERT_TRUE(
+      s->Execute("DELETE FROM big WHERE k >= 6000 AND k < 6500").ok());
+  db.WaitReplicaCaughtUp();
+
+  const char* shapes[] = {
+      // Single-table indexed range: zone maps skip most blocks.
+      "SELECT SUM(v) FROM big WHERE k >= 5000 AND k < 9000",
+      // Join that keeps parity: streams the bigger table.
+      "SELECT COUNT(*), SUM(big.v) FROM small, big WHERE big.k = small.r",
+      // Join without parity: streams its smaller driver, serially.
+      "SELECT small.k, big.v FROM small, big WHERE big.k = small.r "
+      "LIMIT 100000",
+  };
+  for (int threads : {1, 8}) {
+    db.set_exec_threads(threads);
+    exec::VecExecOptions opts;
+    opts.pool = db.exec_pool();
+    opts.morsel_rows = db.profile().morsel_rows;
+    for (const char* sql : shapes) {
+      SCOPED_TRACE(std::string(sql) + " @" + std::to_string(threads));
+      auto parsed = sql::Parse(sql);
+      ASSERT_TRUE(parsed.ok());
+      auto stmt = sql::Compile(*parsed, db);
+      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+      const exec::VecExecStats est =
+          exec::EstimateReplicaWork(**stmt, {}, db.column_store(), opts);
+      exec::VecExecStats run;
+      ASSERT_TRUE(
+          exec::ExecuteVectorized(**stmt, {}, db.column_store(), opts, &run)
+              .ok());
+      EXPECT_EQ(est.rows_scanned, run.rows_scanned);
+      EXPECT_EQ(est.rows_scanned_driver, run.rows_scanned_driver);
+      EXPECT_EQ(est.rows_built, run.rows_built);
+      EXPECT_EQ(est.lanes_used, run.lanes_used);
+    }
+  }
 }
 
 // ------------------------------- teardown ----------------------------------
