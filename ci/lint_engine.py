@@ -52,6 +52,13 @@ Stdlib-only; runs from CI (static-analysis job) and from ctest. Rules:
                   function per store: the router calls them on estimated
                   counts, the charge on actual counts. A second copy of
                   the formula elsewhere would drift from them.
+  scalar-semantics
+                  CheckedAdd/Sub/Mul/Mod/Neg and std::fmod appear under
+                  src/ only in src/common/checked_arith.h (the helpers),
+                  src/sql/scalar_ops.h (the dialect's per-value rules both
+                  executors call) and src/sql/bound_plan.h (AggAccum's
+                  checked SUM). An executor that computes arithmetic on
+                  its own would drift from the other store's answer.
 
 Usage: lint_engine.py [--root DIR] [--json]
 Exits 0 when clean, 1 otherwise. Default output is one human-readable
@@ -134,6 +141,16 @@ COST_MODEL_FILES = {
     "src/engine/profile.cc",
 }
 
+SCALAR_OP_RE = re.compile(
+    r"\b(?:CheckedAdd|CheckedSub|CheckedMul|CheckedMod|CheckedNeg)\b|"
+    r"\bstd::fmod\b")
+# The only engine files that may compute checked arithmetic (see docstring).
+SCALAR_OPS_FILES = {
+    "src/common/checked_arith.h",
+    "src/sql/scalar_ops.h",
+    "src/sql/bound_plan.h",
+}
+
 LINE_COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
 # blocking-under-lock: guard construction opens a lexical critical section
@@ -165,6 +182,7 @@ def lint_file(root, rel, findings):
     columns_ok = rel.as_posix().startswith(COLUMNS_ALLOWED_PREFIXES)
     blocking_exempt = rel.as_posix() in BLOCKING_ALLOWED
     cost_rates_ok = rel.as_posix() in COST_MODEL_FILES
+    scalar_ops_ok = rel.as_posix() in SCALAR_OPS_FILES
     # blocking-under-lock scope state: brace depth, plus the depth at which
     # each live guard was declared (a guard dies when its enclosing scope
     # closes). Lexical heuristic — strings/comments containing braces can
@@ -202,6 +220,11 @@ def lint_file(root, rel, findings):
                                  "per-row cost rate outside "
                                  "engine/profile.{h,cc}; price work through "
                                  "ReplicaCostNs / RowReadCostNs"))
+            if SCALAR_OP_RE.search(line) and not scalar_ops_ok:
+                findings.append((rel, lineno, "scalar-semantics",
+                                 "checked arithmetic outside "
+                                 "sql/scalar_ops.h; call its IntArith / "
+                                 "DoubleArith / IntNeg"))
             if TSA_ESCAPE_RE.search(line):
                 findings.append((rel, lineno, "tsa-escape",
                                  "NO_THREAD_SAFETY_ANALYSIS outside the "

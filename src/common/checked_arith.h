@@ -11,9 +11,9 @@ namespace olxp {
 /// every operation C++ leaves undefined — signed overflow in +/-/*, negating
 /// INT64_MIN — to SQL NULL, the same answer x % 0 already gives; x % -1 is 0
 /// for every x (the raw operator traps on INT64_MIN % -1). The row
-/// interpreter, the vectorized kernels and the aggregate accumulators all
-/// route through these helpers so the differential oracle cannot catch them
-/// disagreeing.
+/// interpreter and the vectorized kernels both call sql/scalar_ops.h, which
+/// builds on these helpers; the aggregate accumulators (AggAccum) call them
+/// directly.
 inline std::optional<int64_t> CheckedAdd(int64_t x, int64_t y) {
   int64_t r;
   if (__builtin_add_overflow(x, y, &r)) return std::nullopt;

@@ -60,7 +60,6 @@ Database::Database(EngineProfile profile)
   storage::VacuumConfig vcfg;
   vcfg.interval_us = profile_.vacuum_interval_us;
   vcfg.batch_rows = profile_.vacuum_batch_rows;
-  vcfg.gc_history_us = profile_.gc_history_us;
   vcfg.metrics = &metrics_;
   vacuum_ = std::make_unique<storage::Vacuum>(&row_store_, &snapshots_,
                                               &oracle_, vcfg);

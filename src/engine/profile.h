@@ -161,9 +161,6 @@ struct EngineProfile {
   /// Rows each vacuum chunk examines under one exclusive table latch
   /// before dropping it (bounds committer stalls behind the vacuum).
   size_t vacuum_batch_rows = 512;
-  /// Minimum wall-clock age of MVCC history before the vacuum may reclaim
-  /// it, independent of live snapshots (0 = reclaim as soon as unneeded).
-  int64_t gc_history_us = 0;
   /// Rows a table scan visits per shared-latch chunk before dropping the
   /// latch so committers can interleave (the §V-B interference path:
   /// a whole-sweep latch hold stalls every InstallVersion behind an

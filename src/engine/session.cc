@@ -486,10 +486,10 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
       return rs;
     }
     // The engine refused the statement at run time (a mixed-type CASE, a
-    // string predicate, a table without a replica): it re-runs on the row
-    // store, which also reports a genuine statement error with the
-    // interpreter's diagnostics. The aborted attempt charged nothing; drop
-    // the partial ops it traced.
+    // table without a replica): it re-runs on the row store, which also
+    // reports a genuine statement error with the interpreter's
+    // diagnostics. The aborted attempt charged nothing; drop the partial
+    // ops it traced.
     m_replica_unsupported_->Add(1);
     cost_compared = false;  // the prediction was for the replica side
     if (trace != nullptr) {

@@ -60,9 +60,9 @@ struct Vec {
     return is_const ? owned : *strs[i];
   }
 
-  /// Value::AsBool over the payload (NULL -> false).
+  /// Value::AsBool over the payload: NULL and strings are false.
   bool truthy(size_t i) const {
-    if (null_at(i)) return false;
+    if (null_at(i) || type == ValueType::kString) return false;
     return type == ValueType::kDouble ? dbls[phys(i)] != 0.0
                                       : ints[phys(i)] != 0;
   }

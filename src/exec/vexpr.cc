@@ -1,12 +1,11 @@
 #include "exec/vexpr.h"
 
 #include <cmath>
-#include <optional>
 #include <string>
 #include <unordered_set>
 
-#include "common/checked_arith.h"
 #include "common/strings.h"
+#include "sql/scalar_ops.h"
 
 namespace olxp::exec {
 
@@ -33,6 +32,7 @@ namespace {
 
 using sql::BKind;
 using sql::BinaryOp;
+using sql::CmpMatches;
 using sql::UnaryOp;
 
 Vec AllNull(size_t rows) {
@@ -63,18 +63,6 @@ int CmpRow(const Vec& l, const Vec& r, size_t i) {
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   return static_cast<int>(l.type) < static_cast<int>(r.type) ? -1 : 1;
-}
-
-bool CmpMatches(BinaryOp op, int c) {
-  switch (op) {
-    case BinaryOp::kEq: return c == 0;
-    case BinaryOp::kNe: return c != 0;
-    case BinaryOp::kLt: return c < 0;
-    case BinaryOp::kLe: return c <= 0;
-    case BinaryOp::kGt: return c > 0;
-    case BinaryOp::kGe: return c >= 0;
-    default: return false;
-  }
 }
 
 /// NULL-rejecting comparison (interpreter: any NULL operand -> false).
@@ -108,86 +96,40 @@ Vec CompareKernel(BinaryOp op, const Vec& l, const Vec& r) {
   return out;
 }
 
-/// Numeric arithmetic with the interpreter's promotion rules: double when
-/// either side is double or the op is division; NULL on NULL operands and
-/// on division/modulo by zero.
+/// Element-wise binary arithmetic (rules in sql/scalar_ops.h).
 StatusOr<Vec> ArithKernel(BinaryOp op, const Vec& l, const Vec& r) {
   const size_t n = l.n;
   if (l.type == ValueType::kNull || r.type == ValueType::kNull) {
     return AllNull(n);
   }
-  if (!l.numeric() || !r.numeric()) {
-    return Status::InvalidArgument("arithmetic on non-numeric value");
-  }
+  OLXP_RETURN_NOT_OK(sql::CheckArithOperands(l.type, r.type));
   Vec out;
   out.n = n;
   out.nulls.assign(n, 0);
   bool any_null = false;
-  const bool as_double = l.type == ValueType::kDouble ||
-                         r.type == ValueType::kDouble ||
-                         op == BinaryOp::kDiv;
-  if (as_double) {
-    out.type = ValueType::kDouble;
-    out.dbls.assign(n, 0.0);
+  const auto fill = [&](auto& payload, auto&& element) {
+    payload.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      if (l.null_at(i) || r.null_at(i)) {
-        out.nulls[i] = 1;
-        any_null = true;
-        continue;
+      if (!l.null_at(i) && !r.null_at(i)) {
+        if (auto res = element(i)) {
+          payload[i] = *res;
+          continue;
+        }
       }
-      double x = l.dbl_at(i), y = r.dbl_at(i);
-      switch (op) {
-        case BinaryOp::kAdd: out.dbls[i] = x + y; break;
-        case BinaryOp::kSub: out.dbls[i] = x - y; break;
-        case BinaryOp::kMul: out.dbls[i] = x * y; break;
-        case BinaryOp::kDiv:
-          if (y == 0) {
-            out.nulls[i] = 1;
-            any_null = true;
-          } else {
-            out.dbls[i] = x / y;
-          }
-          break;
-        case BinaryOp::kMod:
-          if (y == 0) {
-            out.nulls[i] = 1;
-            any_null = true;
-          } else {
-            out.dbls[i] = std::fmod(x, y);
-          }
-          break;
-        default:
-          return Status::Internal("bad arith op");
-      }
+      out.nulls[i] = 1;
+      any_null = true;
     }
+  };
+  if (sql::ArithAsDouble(op, l.type, r.type)) {
+    out.type = ValueType::kDouble;
+    fill(out.dbls, [&](size_t i) {
+      return sql::DoubleArith(op, l.dbl_at(i), r.dbl_at(i));
+    });
   } else {
     out.type = ValueType::kInt;
-    out.ints.assign(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (l.null_at(i) || r.null_at(i)) {
-        out.nulls[i] = 1;
-        any_null = true;
-        continue;
-      }
-      // Overflow and INT64_MIN % -1 yield NULL, matching the interpreter's
-      // checked path (common/checked_arith.h).
-      int64_t x = l.int_at(i), y = r.int_at(i);
-      std::optional<int64_t> res;
-      switch (op) {
-        case BinaryOp::kAdd: res = CheckedAdd(x, y); break;
-        case BinaryOp::kSub: res = CheckedSub(x, y); break;
-        case BinaryOp::kMul: res = CheckedMul(x, y); break;
-        case BinaryOp::kMod: res = CheckedMod(x, y); break;
-        default:
-          return Status::Internal("bad arith op");
-      }
-      if (res) {
-        out.ints[i] = *res;
-      } else {
-        out.nulls[i] = 1;
-        any_null = true;
-      }
-    }
+    fill(out.ints, [&](size_t i) {
+      return sql::IntArith(op, l.int_at(i), r.int_at(i));
+    });
   }
   if (!any_null) out.nulls.clear();
   return out;
@@ -462,14 +404,6 @@ bool TryFastFilter(const VExpr& f, const storage::ColumnChunkView& chunk,
   return false;
 }
 
-Status RequireTruthyCapable(const Vec& v, const char* what) {
-  if (v.type == ValueType::kString) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " requires a boolean/numeric operand");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 InSet::InSet(const std::vector<Row>& rows) {
@@ -626,9 +560,6 @@ Status ApplyConjuncts(std::span<const VExpr> filters,
     if (TryFastFilter(f, chunk, sel)) continue;
     auto cond = EvalVec(f, chunk, *sel);
     if (!cond.ok()) return cond.status();
-    if (cond->type == ValueType::kString) {
-      return Status::Unsupported("non-boolean string predicate");
-    }
     ApplyFilter(*cond, sel);
   }
   return Status::OK();
@@ -667,10 +598,8 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
       const Vec& v = *c;
       switch (e.uop) {
         case UnaryOp::kNeg: {
+          OLXP_RETURN_NOT_OK(sql::CheckNegOperand(v.type));
           if (v.type == ValueType::kNull) return AllNull(n);
-          if (!v.numeric()) {
-            return Status::InvalidArgument("negation of non-numeric value");
-          }
           Vec out;
           out.n = n;
           out.nulls = v.nulls;
@@ -684,9 +613,9 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
             out.ints.resize(n);
             for (size_t i = 0; i < n; ++i) {
               if (!out.nulls.empty() && out.nulls[i]) continue;
-              if (auto r = CheckedNeg(v.int_at(i))) {
+              if (auto r = sql::IntNeg(v.int_at(i))) {
                 out.ints[i] = *r;
-              } else {  // -INT64_MIN: NULL, as in the interpreter
+              } else {
                 if (out.nulls.empty()) out.nulls.assign(n, 0);
                 out.nulls[i] = 1;
               }
@@ -695,7 +624,6 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
           return out;
         }
         case UnaryOp::kNot: {
-          OLXP_RETURN_NOT_OK(RequireTruthyCapable(v, "NOT"));
           Vec out = Vec::Bools(n);
           for (size_t i = 0; i < n; ++i) out.ints[i] = v.truthy(i) ? 0 : 1;
           return out;
@@ -723,9 +651,7 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
         case BinaryOp::kAnd:
         case BinaryOp::kOr: {
           // Both sides are evaluated for the whole selection (no per-row
-          // short-circuit); NULL truthiness is false as in the interpreter.
-          OLXP_RETURN_NOT_OK(RequireTruthyCapable(*l, "AND/OR"));
-          OLXP_RETURN_NOT_OK(RequireTruthyCapable(*r, "AND/OR"));
+          // short-circuit); NULL and strings are false (Vec::truthy).
           Vec out = Vec::Bools(n);
           if (e.bop == BinaryOp::kAnd) {
             for (size_t i = 0; i < n; ++i) {
@@ -831,7 +757,6 @@ StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
       for (size_t p = 0; p < pairs; ++p) {
         auto cond = EvalVec(e.children[2 * p], chunk, sel);
         if (!cond.ok()) return cond;
-        OLXP_RETURN_NOT_OK(RequireTruthyCapable(*cond, "CASE condition"));
         conds.push_back(std::move(cond).value());
         auto val = EvalVec(e.children[2 * p + 1], chunk, sel);
         if (!val.ok()) return val;

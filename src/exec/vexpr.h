@@ -51,23 +51,21 @@ StatusOr<VExpr> LowerExprSlots(const sql::BoundExpr& e,
                                int slot_base, const LowerInputs& in);
 
 /// Evaluates `e` over the selected rows of one chunk, producing one logical
-/// row per selection entry. Mirrors the interpreter's Eval semantics
-/// (NULL-rejecting comparisons, int/double promotion, NULL on division by
-/// zero) evaluated column-at-a-time.
+/// row per selection entry. The per-value rules (comparison outcomes,
+/// int/double promotion, checked arithmetic, negation) are the
+/// interpreter's: both call sql/scalar_ops.h.
 StatusOr<Vec> EvalVec(const VExpr& e, const storage::ColumnChunkView& chunk,
                       const Sel& sel);
 
 /// Selection of the chunk's live rows.
 Sel LiveRows(const storage::ColumnChunkView& chunk);
 
-/// Evaluates lowered conjuncts against (chunk, sel), narrowing sel. A
-/// string-typed conjunct has no vector truthiness; the interpreter owns the
-/// (degenerate) semantics, so it surfaces as Unsupported. Shared by the
-/// scan, hash-build and join-probe stages so their fallback rules can never
-/// diverge. Leaf comparisons against literals take flat-array fast paths
-/// over encoded blocks (packed/RLE integers compared without reboxing,
-/// string compares turned into dictionary-code compares) with semantics
-/// bit-identical to the generic kernel.
+/// Evaluates lowered conjuncts against (chunk, sel), narrowing sel to the
+/// rows where every conjunct is truthy (Vec::truthy). Shared by the scan,
+/// hash-build and join-probe stages. Leaf comparisons against literals take
+/// flat-array fast paths over encoded blocks (packed/RLE integers compared
+/// without reboxing, string compares turned into dictionary-code compares)
+/// with semantics bit-identical to the generic kernel.
 Status ApplyConjuncts(std::span<const VExpr> filters,
                       const storage::ColumnChunkView& chunk, Sel* sel);
 

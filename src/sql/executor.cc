@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/checked_arith.h"
 #include "common/clock.h"
 #include "common/strings.h"
 #include "sql/bound_plan.h"
 #include "sql/parser.h"
+#include "sql/scalar_ops.h"
 
 namespace olxp::sql {
 
@@ -776,44 +775,16 @@ Status PrematerializePlanSubqueries(const BoundSelect& plan,
   });
 }
 
-/// Numeric binary op with int/double promotion.
+/// Binary arithmetic over boxed values (rules in sql/scalar_ops.h).
 StatusOr<Value> Arith(BinaryOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return Value::Null();
-  if (!a.is_numeric() || !b.is_numeric()) {
-    return Status::InvalidArgument("arithmetic on non-numeric value");
+  OLXP_RETURN_NOT_OK(CheckArithOperands(a.type(), b.type()));
+  if (ArithAsDouble(op, a.type(), b.type())) {
+    auto r = DoubleArith(op, a.AsDouble(), b.AsDouble());
+    return r ? Value::Double(*r) : Value::Null();
   }
-  const bool as_double = a.type() == ValueType::kDouble ||
-                         b.type() == ValueType::kDouble ||
-                         op == BinaryOp::kDiv;
-  if (as_double) {
-    double x = a.AsDouble(), y = b.AsDouble();
-    switch (op) {
-      case BinaryOp::kAdd: return Value::Double(x + y);
-      case BinaryOp::kSub: return Value::Double(x - y);
-      case BinaryOp::kMul: return Value::Double(x * y);
-      case BinaryOp::kDiv:
-        if (y == 0) return Value::Null();
-        return Value::Double(x / y);
-      case BinaryOp::kMod:
-        if (y == 0) return Value::Null();
-        return Value::Double(std::fmod(x, y));
-      default: break;
-    }
-  } else {
-    // Overflow (and INT64_MIN % -1, which traps in hardware) is NULL, the
-    // same answer the dialect gives x % 0.
-    int64_t x = a.AsInt(), y = b.AsInt();
-    std::optional<int64_t> r;
-    switch (op) {
-      case BinaryOp::kAdd: r = CheckedAdd(x, y); break;
-      case BinaryOp::kSub: r = CheckedSub(x, y); break;
-      case BinaryOp::kMul: r = CheckedMul(x, y); break;
-      case BinaryOp::kMod: r = CheckedMod(x, y); break;
-      default: return Status::Internal("bad arith op");
-    }
-    return r ? Value::Int(*r) : Value::Null();
-  }
-  return Status::Internal("bad arith op");
+  auto r = IntArith(op, a.AsInt(), b.AsInt());
+  return r ? Value::Int(*r) : Value::Null();
 }
 
 StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
@@ -841,12 +812,13 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
       const Value& v = *c;
       switch (e.uop) {
         case UnaryOp::kNeg:
+          OLXP_RETURN_NOT_OK(CheckNegOperand(v.type()));
           if (v.is_null()) return Value::Null();
           if (v.type() == ValueType::kDouble) {
             return Value::Double(-v.AsDouble());
           }
-          if (auto r = CheckedNeg(v.AsInt())) return Value::Int(*r);
-          return Value::Null();  // -INT64_MIN is unrepresentable
+          if (auto r = IntNeg(v.AsInt())) return Value::Int(*r);
+          return Value::Null();
         case UnaryOp::kNot:
           return Value::Bool(!v.AsBool());
         case UnaryOp::kIsNull:
@@ -880,23 +852,13 @@ StatusOr<Value> Eval(const BoundExpr& e, const Row& tuple, ExecContext* ctx,
         case BinaryOp::kMod:
           return Arith(e.bop, *l, *r);
         case BinaryOp::kEq:
-          if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) == 0);
         case BinaryOp::kNe:
-          if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) != 0);
         case BinaryOp::kLt:
-          if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) < 0);
         case BinaryOp::kLe:
-          if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) <= 0);
         case BinaryOp::kGt:
-          if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) > 0);
         case BinaryOp::kGe:
           if (l->is_null() || r->is_null()) return Value::Bool(false);
-          return Value::Bool(l->Compare(*r) >= 0);
+          return Value::Bool(CmpMatches(e.bop, l->Compare(*r)));
         case BinaryOp::kLike:
         case BinaryOp::kNotLike: {
           if (l->is_null() || r->is_null()) return Value::Bool(false);
@@ -1181,9 +1143,7 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
     Row order_keys;
   };
   std::vector<PendingRow> pending;
-  // DISTINCT dedup: hash buckets of materialized rows, compared by value
-  // (hash-only dedup would silently drop rows on collision).
-  std::unordered_map<size_t, std::vector<Row>> distinct_seen;
+  std::unordered_set<Row, storage::KeyHash, storage::KeyEq> distinct_seen;
 
   const bool can_stop_early = !plan.aggregate_mode && plan.order_by.empty() &&
                               !plan.distinct && plan.limit >= 0;
@@ -1197,22 +1157,8 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
       if (!v.ok()) return v.status();
       pr.out.push_back(std::move(v).value());
     }
-    if (plan.distinct) {
-      size_t h = HashRow(pr.out);
-      auto& bucket = distinct_seen[h];
-      for (const Row& seen : bucket) {
-        if (seen.size() == pr.out.size()) {
-          bool eq = true;
-          for (size_t i = 0; i < seen.size(); ++i) {
-            if (seen[i].Compare(pr.out[i]) != 0) {
-              eq = false;
-              break;
-            }
-          }
-          if (eq) return Status::OK();
-        }
-      }
-      bucket.push_back(pr.out);
+    if (plan.distinct && !distinct_seen.insert(pr.out).second) {
+      return Status::OK();
     }
     for (const BoundOrderItem& oi : plan.order_by) {
       if (oi.proj_index >= 0) {
@@ -1241,9 +1187,11 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
         &stop));
     if (tracing) t_join_end = NowNanos();
   } else {
-    // Hash aggregation.
-    std::unordered_map<size_t, std::vector<Group>> groups;
-    size_t total_groups = 0;
+    // Hash aggregation. Groups keep first-seen order, the order the
+    // replica's serial path emits them.
+    std::vector<Group> groups;
+    std::unordered_map<Row, size_t, storage::KeyHash, storage::KeyEq>
+        group_index;
     OLXP_RETURN_NOT_OK(RunJoin(
         plan, ctx,
         [&](const Row& tuple) -> Status {
@@ -1255,42 +1203,23 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
             if (!v.ok()) return v.status();
             key.push_back(std::move(v).value());
           }
-          size_t h = HashRow(key);
-          Group* grp = nullptr;
-          auto& bucket = groups[h];
-          for (Group& g : bucket) {
-            // Compare group keys via representative re-evaluation-free
-            // stored keys: reuse repr? store keys in repr prefix instead.
-            // We stash the key at the front of repr for equality checks.
-            bool eq = true;
-            for (size_t i = 0; i < key.size(); ++i) {
-              if (g.repr[i].Compare(key[i]) != 0) {
-                eq = false;
-                break;
-              }
-            }
-            if (eq) {
-              grp = &g;
-              break;
-            }
+          auto [it, inserted] =
+              group_index.try_emplace(std::move(key), groups.size());
+          if (inserted) {
+            Group& g = groups.emplace_back();
+            g.repr = tuple;
+            g.accums.resize(plan.aggs.size());
           }
-          if (grp == nullptr) {
-            bucket.emplace_back();
-            grp = &bucket.back();
-            grp->repr = key;  // group key prefix
-            grp->repr.insert(grp->repr.end(), tuple.begin(), tuple.end());
-            grp->accums.resize(plan.aggs.size());
-            ++total_groups;
-          }
-          grp->star_count++;
+          Group& grp = groups[it->second];
+          grp.star_count++;
           for (size_t a = 0; a < plan.aggs.size(); ++a) {
             const AggSpec& spec = plan.aggs[a];
             if (spec.arg) {
               auto v = Eval(*spec.arg, tuple, ctx, nullptr);
               if (!v.ok()) return v.status();
-              grp->accums[a].Add(*v);
+              grp.accums[a].Add(*v);
             } else {
-              grp->accums[a].Add(Value::Int(1));
+              grp.accums[a].Add(Value::Int(1));
             }
           }
           return Status::OK();
@@ -1299,29 +1228,23 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
     if (tracing) t_join_end = NowNanos();
 
     // Global aggregate over empty input still yields one row.
-    if (total_groups == 0 && plan.group_by.empty()) {
-      Group g;
+    if (groups.empty() && plan.group_by.empty()) {
+      Group& g = groups.emplace_back();
       g.repr.assign(plan.total_slots, Value::Null());
       g.accums.resize(plan.aggs.size());
-      groups[0].push_back(std::move(g));
     }
 
-    const size_t key_len = plan.group_by.size();
-    for (auto& [h, bucket] : groups) {
-      for (Group& g : bucket) {
-        std::vector<Value> agg_values(plan.aggs.size());
-        for (size_t a = 0; a < plan.aggs.size(); ++a) {
-          agg_values[a] = g.accums[a].Result(plan.aggs[a].fn, g.star_count);
-        }
-        // Representative tuple: stored after the key prefix.
-        Row tuple(g.repr.begin() + key_len, g.repr.end());
-        if (plan.having) {
-          auto v = Eval(*plan.having, tuple, ctx, &agg_values);
-          if (!v.ok()) return v.status();
-          if (!v->AsBool()) continue;
-        }
-        OLXP_RETURN_NOT_OK(project_and_collect(tuple, &agg_values));
+    for (const Group& g : groups) {
+      std::vector<Value> agg_values(plan.aggs.size());
+      for (size_t a = 0; a < plan.aggs.size(); ++a) {
+        agg_values[a] = g.accums[a].Result(plan.aggs[a].fn, g.star_count);
       }
+      if (plan.having) {
+        auto v = Eval(*plan.having, g.repr, ctx, &agg_values);
+        if (!v.ok()) return v.status();
+        if (!v->AsBool()) continue;
+      }
+      OLXP_RETURN_NOT_OK(project_and_collect(g.repr, &agg_values));
     }
   }
 

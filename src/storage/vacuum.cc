@@ -57,32 +57,9 @@ void Vacuum::Run() {
   }
 }
 
-uint64_t Vacuum::HistoryCap() {
-  sync::MutexLock lk(history_mu_);
-  const int64_t now = NowMicros();
-  history_.emplace_back(now, oracle_->Current());
-  if (config_.gc_history_us <= 0) {
-    // No time-based retention: only live snapshots constrain reclamation.
-    if (history_.size() > 2) history_.pop_front();
-    return ~0ull;
-  }
-  // Newest sample old enough that everything at or below its timestamp has
-  // been history for at least gc_history_us.
-  uint64_t cap = 0;
-  while (history_.size() > 1 &&
-         history_[1].first <= now - config_.gc_history_us) {
-    history_.pop_front();
-  }
-  if (history_.front().first <= now - config_.gc_history_us) {
-    cap = history_.front().second;
-  }
-  return cap;
-}
-
 VacuumStats Vacuum::RunOnce() {
   sync::MutexLock pass_lk(pass_mu_);
   const int64_t pass_start_us = NowMicros();
-  const uint64_t cap = HistoryCap();
   VacuumStats pass;
   for (int id : store_->TableIds()) {
     MvccTable* t = store_->table(id);
@@ -90,8 +67,7 @@ VacuumStats Vacuum::RunOnce() {
     // Recompute per table: a long pass over many tables would otherwise
     // hold reclamation back to a watermark that has since advanced. Using a
     // smaller (older) watermark is always safe; a fresher one reclaims more.
-    uint64_t watermark = registry_->Watermark(*oracle_);
-    if (watermark > cap) watermark = cap;
+    const uint64_t watermark = registry_->Watermark(*oracle_);
     last_watermark_.store(watermark, std::memory_order_release);
     if (watermark == 0) continue;
     pass += t->VacuumBelow(watermark, config_.batch_rows);

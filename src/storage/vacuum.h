@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <thread>
 #include <unordered_map>
 
@@ -93,7 +92,7 @@ class SnapshotRegistry {
 };
 
 /// Vacuum knobs (EngineProfile mirrors these as vacuum_interval_us /
-/// vacuum_batch_rows / gc_history_us).
+/// vacuum_batch_rows).
 struct VacuumConfig {
   /// Background pass period. <= 0 disables the thread; RunOnce() still
   /// works for synchronous callers (bench cells, tests).
@@ -101,10 +100,6 @@ struct VacuumConfig {
   /// Rows examined per exclusive-lock chunk. Bounds how long one vacuum
   /// chunk holds a table's latch against committers.
   size_t batch_rows = 512;
-  /// Minimum wall-clock age of history before it may be reclaimed, mapped
-  /// onto logical timestamps via (wall time, oracle ts) samples taken each
-  /// pass. 0 = reclaim as soon as no live snapshot needs a version.
-  int64_t gc_history_us = 0;
   /// Optional metrics sink (vacuum.* counters, pass duration, watermark
   /// age). Must outlive the vacuum.
   obs::MetricsRegistry* metrics = nullptr;
@@ -145,9 +140,6 @@ class Vacuum {
 
  private:
   void Run();
-  /// gc_history_us mapping: caps the watermark at the newest oracle sample
-  /// at least gc_history_us old (0 when no sample is old enough yet).
-  uint64_t HistoryCap();
 
   RowStore* store_;
   SnapshotRegistry* registry_;
@@ -160,10 +152,6 @@ class Vacuum {
   mutable sync::Mutex totals_mu_{sync::LockRank::kVacuumState,
                                  "vacuum.totals"};
   VacuumStats totals_ GUARDED_BY(totals_mu_);
-
-  sync::Mutex history_mu_{sync::LockRank::kVacuumState, "vacuum.history"};
-  /// (wall_us, oracle ts) samples driving the gc_history_us mapping.
-  std::deque<std::pair<int64_t, uint64_t>> history_ GUARDED_BY(history_mu_);
 
   std::atomic<uint64_t> last_watermark_{0};
   std::atomic<uint64_t> passes_{0};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,10 @@ TEST_P(ExecParityTest, FiltersAndProjections) {
                "SELECT a, CASE WHEN b < 100 THEN 'lo' WHEN b < 500 THEN "
                "'mid' ELSE 'hi' END FROM t WHERE b IS NOT NULL");
   ExpectParity(*db_, *s_, "SELECT a FROM t WHERE NOT (b < 500) OR e = 1");
+  // A string operand is false wherever truthiness applies.
+  ExpectParity(*db_, *s_, "SELECT a FROM t WHERE NOT d");
+  ExpectParity(*db_, *s_, "SELECT a FROM t WHERE d OR e = 1");
+  ExpectParity(*db_, *s_, "SELECT a, CASE WHEN d THEN 1 ELSE 2 END FROM t");
   ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t WHERE b > ?",
                {Value::Int(250)});
 }
@@ -351,13 +356,84 @@ TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
                {}, /*ordered=*/true);
 }
 
-TEST_P(ExecParityTest, StringPredicateFallsBackInsteadOfCrashing) {
-  // A bare string-typed WHERE conjunct has no vector truthiness; the
-  // engine must hand the statement to the row store's interpreter, not
-  // misread the string vector as booleans.
+TEST_P(ExecParityTest, StringPredicateRunsOnReplica) {
+  // A bare string-typed WHERE conjunct is false on every row, on the
+  // replica as on the row store.
+  const int64_t refused = ReplicaUnsupported(*db_);
   auto rs = s_->Execute("SELECT COUNT(*) FROM t WHERE d");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  EXPECT_EQ(rs->rows[0][0].ToString(), "0");
+  EXPECT_EQ(ReplicaUnsupported(*db_), refused);
+}
+
+TEST_P(ExecParityTest, NegationOfStringIsRejectedOnBothStores) {
+  auto col = s_->Execute("SELECT -d FROM t");
+  ASSERT_FALSE(col.ok());
+  EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+  auto row = RowStoreExecute(*s_, "SELECT -d FROM t");
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_P(ExecParityTest, OperandPairsFollowOneScalarSemantics) {
+  // Every pair (x, y) of the INT edge values, each beside a DOUBLE f of
+  // 0.0 or 2.5; the 36 pairs repeat past one sealed block so both the
+  // encoded and the raw column forms sit under the kernels.
+  const Value kInts[] = {Value::Null(),
+                         Value::Int(0),
+                         Value::Int(-1),
+                         Value::Int(1),
+                         Value::Int(std::numeric_limits<int64_t>::min()),
+                         Value::Int(std::numeric_limits<int64_t>::max())};
+  ASSERT_TRUE(s_->Execute("CREATE TABLE ops (k INT PRIMARY KEY, x INT, "
+                          "y INT, f DOUBLE)")
+                  .ok());
+  for (int k = 0; k < 1100; ++k) {
+    const int pair = k % 36;
+    ASSERT_TRUE(s_->Execute("INSERT INTO ops VALUES (?, ?, ?, ?)",
+                            {Value::Int(k), kInts[pair / 6], kInts[pair % 6],
+                             Value::Double(pair % 2 == 0 ? 0.0 : 2.5)})
+                    .ok());
+  }
+  db_->WaitReplicaCaughtUp();
+
+  const char* kArith =
+      "SELECT k, x + y, x - y, x * y, x / y, x % y, x + f, x - f, x * f, "
+      "x / f, x % f, f % y, -x, -f FROM ops";
+  ExpectParity(*db_, *s_, kArith);
+  ExpectParity(*db_, *s_,
+               "SELECT k, x = y, x <> y, x < y, x <= y, x > y, x >= y, "
+               "x < f, f >= y FROM ops");
+  ExpectParity(*db_, *s_, "SELECT k FROM ops WHERE x >= y AND f < x");
+  ExpectParity(*db_, *s_, "SELECT k FROM ops WHERE x < 0 OR y = -1");
+
+  // The spec, independent of either executor: overflow, x / 0 and x % 0
+  // are NULL; x % -1 is 0 even for INT64_MIN; division is DOUBLE.
+  auto rs = s_->Execute(std::string(kArith) + " WHERE k < 36 ORDER BY k");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
+  ASSERT_EQ(rs->rows.size(), 36u);
+  const auto cell = [&](int x, int y, int col) {
+    return rs->rows[x * 6 + y][col].ToString();
+  };
+  constexpr int kZero = 1, kMinus1 = 2, kOne = 3, kMin = 4, kMax = 5;
+  EXPECT_EQ(cell(kMax, kOne, 1), "NULL");       // MAX + 1
+  EXPECT_EQ(cell(kMin, kOne, 2), "NULL");       // MIN - 1
+  EXPECT_EQ(cell(kMin, kMinus1, 3), "NULL");    // MIN * -1
+  EXPECT_EQ(cell(kMax, kMax, 3), "NULL");       // MAX * MAX
+  EXPECT_EQ(cell(kMax, kMinus1, 3),             // MAX * -1 fits
+            std::to_string(-std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(cell(kOne, kZero, 4), "NULL");      // 1 / 0
+  EXPECT_EQ(cell(kOne, kZero, 5), "NULL");      // 1 % 0
+  EXPECT_EQ(cell(kMin, kMinus1, 5), "0");       // MIN % -1
+  EXPECT_EQ(cell(kOne, kMinus1, 4), "-1.0");    // 1 / -1, a DOUBLE
+  EXPECT_EQ(cell(kOne, kOne, 10), "1.0");       // 1 % 2.5
+  EXPECT_EQ(cell(kOne, kZero, 11), "NULL");     // 2.5 % 0 (f = 2.5 at odd k)
+  EXPECT_EQ(cell(kMin, kZero, 12), "NULL");     // -MIN
+  EXPECT_EQ(cell(kMax, kZero, 12),
+            std::to_string(-std::numeric_limits<int64_t>::max()));
+  EXPECT_EQ(cell(kZero, kMinus1, 9), "NULL");   // 0 / 0.0 (f = 0.0 at even k)
 }
 
 TEST_P(ExecParityTest, SnapshotWatermarkIsReported) {

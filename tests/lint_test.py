@@ -226,6 +226,32 @@ class LintFixtureTest(unittest.TestCase):
         self.assert_rules(
             {"bench/fig.cc": "p.latency.col_join_build_row_ns = 0;\n"}, [])
 
+    # ---- scalar-semantics ----
+
+    def test_checked_arith_in_executor_fails(self):
+        self.assert_rules(
+            {"src/exec/vexpr.cc":
+             "res = CheckedAdd(x, y);\n"
+             "out.dbls[i] = std::fmod(x, y);\n",
+             "src/sql/executor.cc":
+             "if (auto r = CheckedNeg(v.AsInt())) return Value::Int(*r);\n"},
+            ["scalar-semantics", "scalar-semantics", "scalar-semantics"])
+
+    def test_checked_arith_in_scalar_ops_passes(self):
+        self.assert_rules(
+            {"src/sql/scalar_ops.h": "return CheckedMod(x, y);\n"
+                                     "return std::fmod(x, y);\n",
+             "src/common/checked_arith.h":
+             "inline std::optional<int64_t> CheckedMul(int64_t x, "
+             "int64_t y) {\n",
+             "src/sql/bound_plan.h": "if (auto r = CheckedAdd(isum, x)) {\n"},
+            [])
+
+    def test_checked_arith_outside_src_passes(self):
+        # Tests may compute expected values with the helpers.
+        self.assert_rules(
+            {"tests/exec_test.cc": "auto r = CheckedSub(a, b);\n"}, [])
+
     # ---- blocking-under-lock ----
 
     def test_fsync_under_mutex_lock_fails(self):
