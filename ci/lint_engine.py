@@ -59,6 +59,13 @@ Stdlib-only; runs from CI (static-analysis job) and from ctest. Rules:
                   executors call) and src/sql/bound_plan.h (AggAccum's
                   checked SUM). An executor that computes arithmetic on
                   its own would drift from the other store's answer.
+  scan-driver     A ColumnTable::ScanPin is constructed under src/ only in
+                  src/exec/vectorized.cc (the MorselScan driver and
+                  EstimateReplicaWork) and src/storage/column_store.*
+                  (the pin itself). Every replica sweep goes through the
+                  one morsel-driven scan driver, so a second scan loop
+                  cannot drift from its zone-map skipping, block
+                  accounting or early exit.
 
 Usage: lint_engine.py [--root DIR] [--json]
 Exits 0 when clean, 1 otherwise. Default output is one human-readable
@@ -151,6 +158,19 @@ SCALAR_OPS_FILES = {
     "src/sql/bound_plan.h",
 }
 
+# A ScanPin object being constructed: a named declaration (`ScanPin pin(t)`,
+# a `ScanPin pin_;` member), a temporary (`ScanPin(t)`, `ScanPin{t}`), or a
+# template argument that is one (`make_unique<ScanPin>(t)`,
+# `optional<ScanPin> p`). References and pointers don't match.
+SCAN_PIN_RE = re.compile(
+    r"\bScanPin\b\s*>?\s*(?:[A-Za-z_]\w*\s*[({;=]|[({])")
+# The only engine files that may construct a ScanPin (see docstring).
+SCAN_PIN_FILES = {
+    "src/exec/vectorized.cc",
+    "src/storage/column_store.h",
+    "src/storage/column_store.cc",
+}
+
 LINE_COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
 # blocking-under-lock: guard construction opens a lexical critical section
@@ -183,6 +203,7 @@ def lint_file(root, rel, findings):
     blocking_exempt = rel.as_posix() in BLOCKING_ALLOWED
     cost_rates_ok = rel.as_posix() in COST_MODEL_FILES
     scalar_ops_ok = rel.as_posix() in SCALAR_OPS_FILES
+    scan_pin_ok = rel.as_posix() in SCAN_PIN_FILES
     # blocking-under-lock scope state: brace depth, plus the depth at which
     # each live guard was declared (a guard dies when its enclosing scope
     # closes). Lexical heuristic — strings/comments containing braces can
@@ -225,6 +246,12 @@ def lint_file(root, rel, findings):
                                  "checked arithmetic outside "
                                  "sql/scalar_ops.h; call its IntArith / "
                                  "DoubleArith / IntNeg"))
+            if (SCAN_PIN_RE.search(line) and not scan_pin_ok
+                    and not LINE_COMMENT_RE.match(line)):
+                findings.append((rel, lineno, "scan-driver",
+                                 "ColumnTable::ScanPin constructed outside "
+                                 "exec/vectorized.cc; sweep the replica "
+                                 "through its MorselScan driver"))
             if TSA_ESCAPE_RE.search(line):
                 findings.append((rel, lineno, "tsa-escape",
                                  "NO_THREAD_SAFETY_ANALYSIS outside the "

@@ -27,10 +27,7 @@ Database::Database(EngineProfile profile)
     if (n > 0) profile_.exec_threads = n;
   }
   lock_manager_.set_metrics(&metrics_);
-  if (profile_.exec_threads > 1) {
-    exec_pool_ = std::make_unique<exec::WorkerPool>(profile_.exec_threads);
-    exec_pool_->set_metrics(&metrics_);
-  }
+  set_exec_threads(profile_.exec_threads);
   replicator_ = std::make_unique<storage::Replicator>(
       &commit_log_, &column_store_, profile_.replication_lag_micros);
   replicator_->set_metrics(&metrics_);
@@ -73,19 +70,16 @@ Database::~Database() {
   // mutates those vectors) or the vacuum (which sweeps the row store) is
   // stopped and the stores destruct. Then the sweepers stop before any
   // substrate they walk is torn down.
-  if (exec_pool_) exec_pool_->Shutdown();
+  exec_pool_->Shutdown();
   if (vacuum_) vacuum_->Stop();
   if (replicator_) replicator_->Stop();
 }
 
 void Database::set_exec_threads(int n) {
   if (exec_pool_) exec_pool_->Shutdown();
-  exec_pool_.reset();
   profile_.exec_threads = n;
-  if (n > 1) {
-    exec_pool_ = std::make_unique<exec::WorkerPool>(n);
-    exec_pool_->set_metrics(&metrics_);
-  }
+  exec_pool_ = std::make_unique<exec::WorkerPool>(n);
+  exec_pool_->set_metrics(&metrics_);
 }
 
 std::unique_ptr<Session> Database::CreateSession() {

@@ -93,8 +93,9 @@ class Database : public sql::Catalog {
   storage::Vacuum& vacuum() { return *vacuum_; }
   /// Durable segment writer; nullptr when durability is off.
   storage::WalWriter* wal() { return wal_.get(); }
-  /// Shared worker pool for morsel-driven parallel vectorized execution;
-  /// nullptr when profile().exec_threads <= 1 (serial path).
+  /// Shared worker pool of the vectorized engine's morsel-driven scans,
+  /// with profile().exec_threads lanes; never null. One lane (exec_threads
+  /// 0 or 1) spawns no threads and runs every scan inline.
   exec::WorkerPool* exec_pool() { return exec_pool_.get(); }
 
   /// Process-visible metrics for this database instance: every subsystem
@@ -128,8 +129,8 @@ class Database : public sql::Catalog {
   void set_cluster_nodes(int nodes) { profile_.cluster.num_nodes = nodes; }
 
   /// Reconfigures intra-query parallelism at runtime: replaces the worker
-  /// pool (n <= 1 removes it, restoring the serial path). For tests and
-  /// bench ablations only — callers must quiesce in-flight statements
+  /// pool with one of `n` lanes (n <= 1: one lane, no threads). For tests
+  /// and bench ablations only — callers must quiesce in-flight statements
   /// first.
   void set_exec_threads(int n);
 

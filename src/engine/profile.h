@@ -66,7 +66,7 @@ struct LatencyModel {
 ///
 /// Simulated ns of the replica work in `stats` (exec::VecExecStats): the
 /// driving scan and its probe divide by the parallel speedup of the lanes
-/// they engaged; hash-join builds, their sweeps included, run serially.
+/// they engaged; hash-join builds, their sweeps included, run on one lane.
 double ReplicaCostNs(const exec::VecExecStats& stats, const LatencyModel& m);
 /// Simulated ns of a standalone analytical read on the row store: `seeks`
 /// index or pk seeks plus `rows` rows visited at the analytic rate.
@@ -131,11 +131,11 @@ struct EngineProfile {
   bool cost_based_routing = true;
   /// Intra-query parallelism for the vectorized columnar engine: execution
   /// lanes (including the calling session thread) that claim morsels of a
-  /// pinned replica scan. 0 or 1 keeps the current serial path; values > 1
-  /// make engine::Database own a shared exec::WorkerPool of
-  /// exec_threads - 1 workers. The OLXP_EXEC_THREADS environment variable
-  /// overrides this at Database construction (CI runs the whole test suite
-  /// with a pool this way).
+  /// pinned replica scan. engine::Database owns a shared exec::WorkerPool
+  /// of exec_threads - 1 workers; 0 or 1 means one lane, the calling
+  /// thread, which claims every morsel in scan order. The
+  /// OLXP_EXEC_THREADS environment variable overrides this at Database
+  /// construction (CI runs the whole test suite with more lanes this way).
   int exec_threads = 1;
   /// Slots per claimed morsel (work-stealing granularity). Rounded up to a
   /// whole number of vector chunks; smaller = better load balance, larger =

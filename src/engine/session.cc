@@ -360,15 +360,22 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
   const int64_t wall_t0 = NowMicros();
   const int64_t charged_before = charged_micros_;
 
-  auto rs = ExecuteRouted(effective, params, trace);
+  // A statement that fails to prepare reaches no store: it is counted and
+  // timed, but under no route and with no route label.
+  auto prepared = Prepare(effective);
+  auto rs = prepared.ok() ? ExecuteRouted(**prepared, params, trace)
+                          : StatusOr<sql::ResultSet>(prepared.status());
 
   const int64_t wall_us = NowMicros() - wall_t0;
   m_statements_->Add(1);
   m_statement_us_->Record(wall_us);
-  const bool on_replica = last_route_ == RoutedStore::kColumnStore;
-  (on_replica ? m_route_col_vec_ : m_route_row_)->Add(1);
   const int64_t actual_us = charged_micros_ - charged_before;
-  const char* route = on_replica ? "column/vectorized" : "row/interpreter";
+  const char* route = "";
+  if (prepared.ok()) {
+    const bool on_replica = last_route_ == RoutedStore::kColumnStore;
+    (on_replica ? m_route_col_vec_ : m_route_row_)->Add(1);
+    route = on_replica ? "column/vectorized" : "row/interpreter";
+  }
   if (tracing) {
     last_trace_.route = route;
     last_trace_.total_us = wall_us;
@@ -387,13 +394,11 @@ StatusOr<sql::ResultSet> Session::Execute(const std::string& sql_text,
   return rs;
 }
 
-StatusOr<sql::ResultSet> Session::ExecuteRouted(const std::string& sql_text,
+StatusOr<sql::ResultSet> Session::ExecuteRouted(const Prepared& prepared,
                                                 std::span<const Value> params,
                                                 obs::QueryTrace* trace) {
-  auto prepared = Prepare(sql_text);
-  if (!prepared.ok()) return prepared.status();
-  const sql::CompiledStatement& stmt = *(*prepared)->compiled;
-  const exec::PlanShape& shape = (*prepared)->shape;
+  const sql::CompiledStatement& stmt = *prepared.compiled;
+  const exec::PlanShape& shape = prepared.shape;
 
   AccessStats stats;
   const bool in_txn = txn_ != nullptr;

@@ -138,10 +138,12 @@ class Session {
 
   StatusOr<const Prepared*> Prepare(const std::string& sql);
 
-  /// The routing + execution body of Execute (everything but the statement
-  /// wall clock, trace bookkeeping and slow-query admission, which the
-  /// public wrapper owns). `trace` is null when tracing is off.
-  StatusOr<sql::ResultSet> ExecuteRouted(const std::string& sql,
+  /// The routing + execution body of Execute for a prepared statement
+  /// (everything but preparing it, the statement wall clock, trace
+  /// bookkeeping and slow-query admission, which the public wrapper owns).
+  /// Sets last_route_ to the store it reached. `trace` is null when tracing
+  /// is off.
+  StatusOr<sql::ResultSet> ExecuteRouted(const Prepared& prepared,
                                          std::span<const Value> params,
                                          obs::QueryTrace* trace);
 

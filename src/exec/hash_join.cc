@@ -2,8 +2,6 @@
 
 #include <climits>
 
-#include "exec/vectorized.h"
-
 namespace olxp::exec {
 
 namespace {
@@ -76,67 +74,48 @@ bool ClassifyJoinStep(const sql::BoundSelect& plan, size_t k,
   return !out->keys.empty();
 }
 
-Status HashJoinTable::Build(const storage::ColumnTable& table,
-                            std::span<const VExpr> local_filters,
-                            std::span<const VExpr> key_exprs,
-                            std::span<const uint8_t> needed_cols,
-                            int64_t* rows_scanned) {
-  const int ncols = table.schema().num_columns();
+void HashJoinTable::Init(int ncols, std::span<const VExpr> key_exprs,
+                         std::span<const uint8_t> needed_cols) {
   cols_.assign(ncols, {});
-  std::vector<int> store_cols;
   for (int c = 0; c < ncols; ++c) {
-    if (needed_cols.empty() || needed_cols[c] != 0) store_cols.push_back(c);
+    if (needed_cols.empty() || needed_cols[c] != 0) store_cols_.push_back(c);
   }
   key_width_ = key_exprs.size();
   int_keyed_ =
       key_width_ == 1 && StaticFamily(key_exprs[0]) == ValueType::kInt;
+}
 
-  Status inner = Status::OK();
-  int64_t visited = table.BatchScan(
-      kVecChunkRows, [&](const storage::ColumnChunkView& chunk) -> bool {
-        Sel sel = LiveRows(chunk);
-        Status st = ApplyConjuncts(local_filters, chunk, &sel);
-        if (!st.ok()) {
-          inner = st;
-          return false;
-        }
-        if (sel.empty()) return true;
-        std::vector<Vec> kvecs;
-        kvecs.reserve(key_width_);
-        for (const VExpr& k : key_exprs) {
-          auto v = EvalVec(k, chunk, sel);
-          if (!v.ok()) {
-            inner = v.status();
-            return false;
-          }
-          kvecs.push_back(std::move(v).value());
-        }
-        for (size_t i = 0; i < sel.size(); ++i) {
-          bool null_key = false;
-          for (const Vec& kv : kvecs) {
-            if (kv.null_at(i)) {
-              null_key = true;
-              break;
-            }
-          }
-          if (null_key) continue;  // NULL never joins
-          uint32_t idx = static_cast<uint32_t>(nrows_++);
-          for (int c : store_cols) {
-            cols_[c].push_back(chunk.value_at(c, sel[i]));
-          }
-          if (int_keyed_) {
-            int_index_[kvecs[0].int_at(i)].push_back(idx);
-          } else {
-            Row key;
-            key.reserve(key_width_);
-            for (const Vec& kv : kvecs) key.push_back(kv.value_at(i));
-            row_index_[std::move(key)].push_back(idx);
-          }
-        }
-        return true;
-      });
-  if (!inner.ok()) return inner;
-  if (rows_scanned != nullptr) *rows_scanned += visited;
+Status HashJoinTable::Add(std::span<const VExpr> key_exprs,
+                          const storage::ColumnChunkView& chunk,
+                          const Sel& sel) {
+  if (sel.empty()) return Status::OK();
+  std::vector<Vec> kvecs;
+  kvecs.reserve(key_width_);
+  for (const VExpr& k : key_exprs) {
+    auto v = EvalVec(k, chunk, sel);
+    if (!v.ok()) return v.status();
+    kvecs.push_back(std::move(v).value());
+  }
+  for (size_t i = 0; i < sel.size(); ++i) {
+    bool null_key = false;
+    for (const Vec& kv : kvecs) {
+      if (kv.null_at(i)) {
+        null_key = true;
+        break;
+      }
+    }
+    if (null_key) continue;  // NULL never joins
+    uint32_t idx = static_cast<uint32_t>(nrows_++);
+    for (int c : store_cols_) cols_[c].push_back(chunk.value_at(c, sel[i]));
+    if (int_keyed_) {
+      int_index_[kvecs[0].int_at(i)].push_back(idx);
+    } else {
+      Row key;
+      key.reserve(key_width_);
+      for (const Vec& kv : kvecs) key.push_back(kv.value_at(i));
+      row_index_[std::move(key)].push_back(idx);
+    }
+  }
   return Status::OK();
 }
 

@@ -17,7 +17,7 @@
 /// Vectorized hash-join building blocks. The planner-side classification
 /// splits a join step's conjuncts into equi-join keys, build-local filters
 /// and cross-table residuals; HashJoinTable materializes the build side
-/// from the replica's raw column vectors and indexes it by join key.
+/// from the replica's column chunks and indexes it by join key.
 
 namespace olxp::exec {
 
@@ -52,22 +52,26 @@ bool ClassifyJoinStep(const sql::BoundSelect& plan, size_t k,
 /// keys are skipped on both sides — NULL never joins), with a fast path for
 /// a single integer-family key.
 ///
-/// Build() runs single-threaded; afterwards the table is immutable, so the
+/// The vectorized engine fills it from one lane of its scan driver, chunk
+/// by chunk in scan order; afterwards the table is immutable, so the
 /// morsel-driven parallel probe fans ProbeInt/ProbeRow/at out across every
 /// execution lane with no synchronization (a shared read-only build table
 /// is the whole point of the morsel model's join story; parallelizing the
 /// build itself is a ROADMAP follow-up).
 class HashJoinTable {
  public:
-  /// Scans `table`'s raw column vectors, applies `local_filters`
-  /// (vectorized), evaluates `key_exprs` per chunk and indexes every
-  /// surviving non-NULL-key row. Only columns flagged in `needed_cols` are
-  /// materialized (empty span = all) — the join only pays for columns the
-  /// rest of the plan references. Adds live rows visited to *rows_scanned.
-  Status Build(const storage::ColumnTable& table,
-               std::span<const VExpr> local_filters,
-               std::span<const VExpr> key_exprs,
-               std::span<const uint8_t> needed_cols, int64_t* rows_scanned);
+  /// Sets up the empty build, once, before the first Add: a table of
+  /// `ncols` columns keyed by `key_exprs`. Only columns flagged in
+  /// `needed_cols` are materialized (empty span = all): the join only pays
+  /// for columns the rest of the plan references.
+  void Init(int ncols, std::span<const VExpr> key_exprs,
+            std::span<const uint8_t> needed_cols);
+
+  /// Evaluates `key_exprs` (the ones passed to Init) over the selected rows
+  /// of one build-table chunk, already narrowed by the build-local filters,
+  /// and indexes every row with no NULL key.
+  Status Add(std::span<const VExpr> key_exprs,
+             const storage::ColumnChunkView& chunk, const Sel& sel);
 
   size_t rows() const { return nrows_; }
   int ncols() const { return static_cast<int>(cols_.size()); }
@@ -83,6 +87,7 @@ class HashJoinTable {
 
  private:
   std::vector<std::vector<Value>> cols_;  // [col][build row]
+  std::vector<int> store_cols_;           // columns materialized
   size_t nrows_ = 0;
   bool int_keyed_ = false;
   size_t key_width_ = 0;

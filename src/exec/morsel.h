@@ -1,6 +1,7 @@
 #ifndef OLXP_EXEC_MORSEL_H_
 #define OLXP_EXEC_MORSEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -83,7 +84,7 @@ class WorkerPool {
 /// Partitions the slot range [0, total_rows) of one pinned table into
 /// morsels of `morsel_rows` slots claimed via an atomic cursor. Morsel
 /// ordinals are dense and ordered by base slot, so per-morsel partial
-/// results merged in ordinal order reproduce the serial scan order exactly
+/// results merged in ordinal order reproduce the one-lane scan order exactly
 /// regardless of which lane processed which morsel.
 class MorselDispatcher {
  public:
@@ -108,6 +109,11 @@ class MorselDispatcher {
 
   size_t morsel_count() const { return count_; }
   size_t morsel_rows() const { return morsel_rows_; }
+  /// Morsels Next() has handed out: every one unless the scan was
+  /// cancelled.
+  size_t claimed() const {
+    return std::min(cursor_.load(std::memory_order_relaxed), count_);
+  }
 
  private:
   const size_t total_;

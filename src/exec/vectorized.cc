@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <numeric>
@@ -274,8 +275,8 @@ void MarkSlots(const BoundExpr& e, std::vector<uint8_t>* mask) {
   for (const auto& c : e.children) MarkSlots(*c, mask);
 }
 
-/// Accumulation state of one sink consumer: the whole scan (serial path),
-/// one morsel (per-morsel partials, merged in morsel order) or one key
+/// Accumulation state of one sink consumer: the whole scan (one lane), one
+/// morsel (per-morsel partials, merged in morsel order) or one key
 /// partition (partitioned combine). Either way every group's rows arrive
 /// in scan order within the state that owns the group.
 struct SinkState {
@@ -296,7 +297,7 @@ struct SinkState {
       group_index;  ///< any other key
   // DISTINCT dedup by value (same semantics as the interpreter's buckets).
   // Every projection-mode consumer dedups into its own state (global for
-  // the serial scan, per-morsel for parallel partials); the combine dedups
+  // one lane, per-morsel for parallel partials); the combine dedups
   // once more across partials as they merge in morsel order, so keep-first
   // is global.
   std::unordered_set<Row, storage::KeyHash, storage::KeyEq> distinct_seen;
@@ -317,9 +318,9 @@ struct ChunkParts {
   std::array<uint32_t, kAggPartitions + 1> offs{};
 };
 
-/// The serial scan may stop once LIMIT rows are collected: a plain
-/// projection with a LIMIT and no ORDER BY or DISTINCT. Such plans never
-/// fan out (a parallel sweep would waste the early exit).
+/// The scan may stop once LIMIT rows are collected: a plain projection
+/// with a LIMIT and no ORDER BY or DISTINCT. Such plans run on one lane (a
+/// parallel sweep would waste the early exit).
 bool CanStopEarly(const BoundSelect& plan) {
   return !plan.aggregate_mode && plan.order_by.empty() && !plan.distinct &&
          plan.limit >= 0;
@@ -398,15 +399,13 @@ class VecSink {
     return Status::OK();
   }
 
-  /// Consumes the selected rows of one chunk into `st`. `serial` enables
-  /// the single-state behaviors: early LIMIT stop and in-consume DISTINCT
-  /// dedup (a parallel partial cannot see other morsels' rows; the combine
-  /// dedups instead). Returns false when the plan's LIMIT is satisfied and
-  /// the producer may stop scanning.
+  /// Consumes the selected rows of one chunk into `st`. Returns false when
+  /// an early-stop plan's LIMIT is satisfied and the producer may stop
+  /// scanning; such plans run on one lane, so `st` holds every row so far.
   StatusOr<bool> Consume(SinkState* st, const storage::ColumnChunkView& chunk,
-                         const Sel& sel, bool serial) const {
+                         const Sel& sel) const {
     if (sel.empty()) return true;
-    if (!plan_.aggregate_mode) return ConsumeRows(st, chunk, sel, serial);
+    if (!plan_.aggregate_mode) return ConsumeRows(st, chunk, sel);
     if (group_exprs_.empty()) return ConsumeGlobalAgg(st, chunk, sel);
     return ConsumeGroupedAgg(st, chunk, sel);
   }
@@ -565,7 +564,7 @@ class VecSink {
     return Status::OK();
   }
 
-  /// Finishes a single (serial or merged) state.
+  /// Finishes a single (one-lane or merged) state.
   StatusOr<sql::ResultSet> Finish(SinkState&& st) const {
     if (!plan_.aggregate_mode) return Emit(std::move(st.pending), false);
     std::vector<PendingRow> rows;
@@ -688,7 +687,7 @@ class VecSink {
 
   StatusOr<bool> ConsumeRows(SinkState* st,
                              const storage::ColumnChunkView& chunk,
-                             const Sel& sel, bool serial) const {
+                             const Sel& sel) const {
     std::vector<Vec> pvecs;
     pvecs.reserve(proj_exprs_.size());
     for (const VExpr& p : proj_exprs_) {
@@ -707,8 +706,8 @@ class VecSink {
       PendingRow pr;
       pr.out.reserve(pvecs.size());
       for (const Vec& pv : pvecs) pr.out.push_back(pv.value_at(i));
-      // DISTINCT dedups into this state's own set either way: the serial
-      // path sees every row through one state (global dedup), a parallel
+      // DISTINCT dedups into this state's own set either way: one lane
+      // sees every row through one state (global dedup), a per-morsel
       // partial dedups within its morsel — keep-first survives the
       // morsel-order merge, and duplicates never pile up in partials.
       if (plan_.distinct && !st->distinct_seen.insert(pr.out).second) {
@@ -716,7 +715,7 @@ class VecSink {
       }
       for (const Vec& ov : ovecs) pr.order_keys.push_back(ov.value_at(i));
       st->pending.push_back(std::move(pr));
-      if (serial && can_stop_early_ &&
+      if (can_stop_early_ &&
           st->pending.size() >= static_cast<size_t>(plan_.limit)) {
         return false;  // enough rows; stop the scan
       }
@@ -808,12 +807,10 @@ class VecSink {
 
 // ------------------------- EXPLAIN ANALYZE capture -------------------------
 
-/// Per-lane trace accumulation for one scan driver. Parallel fan-outs own
-/// one slot per lane and sum them afterwards (the per-morsel rollup); the
-/// serial paths use a single slot. All writes are gated on opts.trace.
+/// Per-lane trace accumulation for one scan: one slot per lane, summed
+/// afterwards (the per-morsel rollup). All writes are gated on opts.trace.
 struct LaneTrace {
   int64_t selected = 0;    ///< rows surviving the scan filters
-  int64_t consumed_out = 0;  ///< probe-stage output rows (join path)
   int64_t filter_ns = 0;
   int64_t consume_ns = 0;  ///< sink consume (single-table) / probe cascade
 };
@@ -822,7 +819,6 @@ LaneTrace SumLanes(const std::vector<LaneTrace>& lanes) {
   LaneTrace t;
   for (const LaneTrace& l : lanes) {
     t.selected += l.selected;
-    t.consumed_out += l.consumed_out;
     t.filter_ns += l.filter_ns;
     t.consume_ns += l.consume_ns;
   }
@@ -928,57 +924,65 @@ SinkState MergePartials(const BoundSelect& plan, const VecSink& sink,
   return merged;
 }
 
-// ------------------------- morsel fan-out driver ---------------------------
+// ---------------------------- morsel scan driver ----------------------------
 
-/// Whether this execution should fan out over the pool. Early-stop plans
-/// stay serial: their serial scan terminates after LIMIT rows while a
-/// parallel sweep would visit everything.
-bool UseParallel(const VecExecOptions& opts, const BoundSelect& plan) {
-  return opts.pool != nullptr && opts.pool->lanes() > 1 && !CanStopEarly(plan);
-}
-
-/// Morsel granularity rounded up to whole vector chunks so parallel lanes
-/// see exactly the chunk boundaries a serial scan would produce (per-chunk
-/// vector typing makes boundaries observable).
+/// Morsel granularity rounded up to whole vector chunks, so every lane count
+/// sees the same chunk boundaries (per-chunk vector typing makes boundaries
+/// observable).
 size_t NormalizedMorselRows(size_t morsel_rows) {
   const size_t rows = std::max(morsel_rows, kVecChunkRows);
   return (rows + kVecChunkRows - 1) / kVecChunkRows * kVecChunkRows;
 }
 
-/// Lanes a fan-out over a table of `slots` slots engages: the pool's,
-/// clamped to the morsel count (a table under one morsel runs on one lane).
-int FanOutLanes(const VecExecOptions& opts, size_t slots) {
-  const size_t morsel = NormalizedMorselRows(opts.morsel_rows);
+/// The most lanes a plan's driving scan may engage: the pool's (one without
+/// a pool), but one for a plan whose scan can stop early at LIMIT: one lane
+/// stops at the chunk where the LIMIT is met, a wider sweep would visit
+/// every morsel.
+int MaxDriverLanes(const VecExecOptions& opts, const BoundSelect& plan) {
+  if (opts.pool == nullptr || CanStopEarly(plan)) return 1;
+  return opts.pool->lanes();
+}
+
+/// Lanes a scan of `slots` slots engages: `max_lanes`, clamped to the
+/// morsel count (a table under one morsel runs on one lane). Execution and
+/// EstimateReplicaWork both clamp here.
+int FanOutLanes(int max_lanes, size_t morsel_rows, size_t slots) {
+  const size_t morsel = NormalizedMorselRows(morsel_rows);
   const size_t morsels = (slots + morsel - 1) / morsel;
-  return static_cast<int>(std::min(static_cast<size_t>(opts.pool->lanes()),
+  return static_cast<int>(std::min(static_cast<size_t>(max_lanes),
                                    std::max<size_t>(1, morsels)));
 }
 
-/// Per-driver block accounting: chunk-sized blocks actually read vs.
-/// skipped whole via the zone-map mask.
-struct ScanBlocks {
-  int64_t scanned = 0;
-  int64_t skipped = 0;
+/// What a scan visited: live rows, and chunk-sized blocks read vs. skipped
+/// whole via the zone-map mask.
+struct ScanTotals {
+  int64_t visited = 0;
+  int64_t blocks_scanned = 0;
+  int64_t blocks_skipped = 0;
 };
 
-/// A table pinned for a morsel-driven scan: the zone-map skip mask, the
-/// morsel decomposition, the lane clamp and per-lane visit/block counts.
-/// The pin holds the snapshot for the object's lifetime, so one execution
-/// may fan out more than once over the same chunks (the partitioned combine
+/// The replica's one scan driver: single-table sweeps, join streams and
+/// hash-join builds all run through it. It pins a table and holds the
+/// zone-map skip mask, the morsel decomposition, the lane clamp and
+/// per-lane visit/block counts. One lane claims the morsels in scan order
+/// on the calling thread; more lanes claim them from pool workers too. The
+/// pin holds the snapshot for the object's lifetime, so one execution may
+/// fan out more than once over the same chunks (the partitioned combine
 /// revisits them in its second phase).
 class MorselScan {
  public:
+  /// `preds` are the zone-refutable bounds of the scan's filters;
+  /// `max_lanes` bounds the fan-out (MaxDriverLanes, or 1 for a build).
   MorselScan(const storage::ColumnTable& table, const VecExecOptions& opts,
-             std::span<const storage::ZonePred> preds)
+             std::span<const storage::ZonePred> preds, int max_lanes)
       : table_(table),
         opts_(opts),
         pin_(table),
         skip_(pin_.ComputeSkipMask(preds)),
         dispatcher_(pin_.total_slots(),
                     NormalizedMorselRows(opts.morsel_rows)),
-        lanes_(FanOutLanes(opts, pin_.total_slots())),
-        lane_visited_(static_cast<size_t>(lanes_), 0),
-        lane_blocks_(static_cast<size_t>(lanes_)) {}
+        lanes_(FanOutLanes(max_lanes, opts.morsel_rows, pin_.total_slots())),
+        lane_totals_(static_cast<size_t>(lanes_)) {}
 
   MorselScan(const MorselScan&) = delete;
   MorselScan& operator=(const MorselScan&) = delete;
@@ -992,13 +996,21 @@ class MorselScan {
     return pin_.Chunk(base, rows);
   }
 
+  /// Sink states the sweep fills: one lane accumulates every morsel into a
+  /// single state in scan order; more lanes fill one partial per morsel,
+  /// merged in morsel order afterwards. StateOf names morsel `m`'s state.
+  size_t sink_states() const { return lanes_ == 1 ? 1 : morsel_count(); }
+  size_t StateOf(const MorselDispatcher::Morsel& m) const {
+    return lanes_ == 1 ? 0 : m.ordinal;
+  }
+
   /// Every lane claims morsels until none are left, running fn(lane,
   /// morsel). The first failing status cancels the rest and is returned.
   template <typename Fn>
   Status FanOut(Fn&& fn) {
     std::vector<Status> lane_status(static_cast<size_t>(lanes_),
                                     Status::OK());
-    opts_.pool->Run(lanes_, [&](int lane) {
+    Run(lanes_, [&](int lane) {
       MorselDispatcher::Morsel m;
       while (dispatcher_.Next(&m)) {
         Status st = fn(lane, m);
@@ -1023,7 +1035,7 @@ class MorselScan {
     std::atomic<bool> failed{false};
     std::vector<Status> lane_status(static_cast<size_t>(lanes),
                                     Status::OK());
-    opts_.pool->Run(lanes, [&](int lane) {
+    Run(lanes, [&](int lane) {
       for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < n && !failed.load(std::memory_order_relaxed);
            i = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -1040,49 +1052,82 @@ class MorselScan {
 
   /// Runs body(chunk, sel) over the live rows of each chunk of `m` the zone
   /// maps do not refute. Blocks skipped or read and live rows visited count
-  /// toward the scan only when `account` (false on a second pass).
+  /// toward the scan only when `account` (false on a second pass). A body
+  /// returning false has met an early-stop LIMIT: the scan ends after that
+  /// chunk and no lane claims another morsel.
   template <typename Body>
   Status ScanMorsel(int lane, const MorselDispatcher::Morsel& m, bool account,
                     Body&& body) {
-    const auto l = static_cast<size_t>(lane);
+    ScanTotals& totals = lane_totals_[static_cast<size_t>(lane)];
     for (size_t off = 0; off < m.rows; off += kVecChunkRows) {
       // Morsel bases are multiples of the (normalized) chunk size, so
       // every chunk maps to exactly one kBlockSlots-aligned mask entry.
       const size_t b = (m.base + off) / storage::kBlockSlots;
       if (b < skip_.size() && skip_[b] != 0) {
-        if (account) ++lane_blocks_[l].skipped;
+        if (account) ++totals.blocks_skipped;
         continue;
       }
       storage::ColumnChunkView chunk =
           pin_.Chunk(m.base + off, std::min(kVecChunkRows, m.rows - off));
       Sel sel = LiveRows(chunk);
       if (account) {
-        ++lane_blocks_[l].scanned;
-        lane_visited_[l] += static_cast<int64_t>(sel.size());
+        ++totals.blocks_scanned;
+        totals.visited += static_cast<int64_t>(sel.size());
       }
-      OLXP_RETURN_NOT_OK(body(chunk, sel));
+      StatusOr<bool> more = body(chunk, sel);
+      if (!more.ok()) return more.status();
+      if (!*more) {
+        dispatcher_.Cancel();
+        break;
+      }
     }
     return Status::OK();
   }
 
-  /// Publishes the scan's accounting (block counts on the table and in
-  /// *blocks, dispatched morsels on the counter); returns live rows
-  /// visited.
-  int64_t Finish(ScanBlocks* blocks) const {
-    int64_t visited = 0;
-    for (int64_t v : lane_visited_) visited += v;
-    for (const ScanBlocks& lb : lane_blocks_) {
-      blocks->scanned += lb.scanned;
-      blocks->skipped += lb.skipped;
+  /// Publishes the scan's accounting: block counts on the table, claimed
+  /// morsels on the counter and the trace. Returns the scan's totals.
+  ScanTotals Finish() const {
+    ScanTotals sum;
+    for (const ScanTotals& t : lane_totals_) {
+      sum.visited += t.visited;
+      sum.blocks_scanned += t.blocks_scanned;
+      sum.blocks_skipped += t.blocks_skipped;
     }
-    table_.RecordScanBlocks(blocks->scanned, blocks->skipped);
-    if (opts_.morsel_counter != nullptr) {
-      opts_.morsel_counter->Add(static_cast<int64_t>(morsel_count()));
+    table_.RecordScanBlocks(sum.blocks_scanned, sum.blocks_skipped);
+    const auto claimed = static_cast<int64_t>(dispatcher_.claimed());
+    if (opts_.morsel_counter != nullptr) opts_.morsel_counter->Add(claimed);
+    if (opts_.trace != nullptr) opts_.trace->morsels += claimed;
+    return sum;
+  }
+
+  /// Finish for the plan's driving scan (the single-table sweep or the join
+  /// stream), which the latency model bills by lane: also books its rows,
+  /// blocks and lanes into *stats and its lanes into the trace.
+  ScanTotals FinishDriver(VecExecStats* stats) const {
+    const ScanTotals sum = Finish();
+    if (stats != nullptr) {
+      stats->rows_scanned += sum.visited;
+      stats->rows_scanned_driver += sum.visited;
+      stats->lanes_used = std::max(stats->lanes_used, lanes_);
+      stats->blocks_scanned += sum.blocks_scanned;
+      stats->blocks_skipped += sum.blocks_skipped;
     }
-    return visited;
+    if (opts_.trace != nullptr) {
+      opts_.trace->lanes = std::max(opts_.trace->lanes, lanes_);
+    }
+    return sum;
   }
 
  private:
+  /// Runs fn on `n` lanes: on the pool, or inline (one lane) without one.
+  void Run(int n, const std::function<void(int)>& fn) const {
+    if (opts_.pool == nullptr) {
+      fn(0);
+    } else {
+      opts_.pool->Run(n, fn);
+    }
+  }
+
   static Status FirstError(const std::vector<Status>& statuses) {
     for (const Status& st : statuses) {
       if (!st.ok()) return st;
@@ -1096,47 +1141,37 @@ class MorselScan {
   const std::vector<uint8_t> skip_;
   MorselDispatcher dispatcher_;
   const int lanes_;
-  std::vector<int64_t> lane_visited_;
-  std::vector<ScanBlocks> lane_blocks_;
+  std::vector<ScanTotals> lane_totals_;
 };
 
-/// Serial scan driver shared by the single-table and join-stream paths:
-/// same pin + zone-map skipping as the fan-out, one chunk at a time in
-/// slot order. `body(chunk, sel)` returns false to stop early (LIMIT).
-/// Returns live rows visited; block counts land in *blocks and on the
-/// table's telemetry.
-template <typename Body>
-StatusOr<int64_t> RunSerialScan(const storage::ColumnTable& table,
-                                std::span<const storage::ZonePred> preds,
-                                ScanBlocks* blocks, Body&& body) {
-  storage::ColumnTable::ScanPin pin(table);
-  const std::vector<uint8_t> skip = pin.ComputeSkipMask(preds);
-  const size_t total = pin.total_slots();
-  int64_t visited = 0;
-  Status inner = Status::OK();
-  for (size_t base = 0; base < total;) {
-    const size_t b = base / storage::kBlockSlots;
-    if (b < skip.size() && skip[b] != 0) {
-      ++blocks->skipped;
-      base = (b + 1) * storage::kBlockSlots;
-      continue;
-    }
-    storage::ColumnChunkView chunk = pin.Chunk(base, kVecChunkRows);
-    if (chunk.rows == 0) break;
-    ++blocks->scanned;
-    Sel sel = LiveRows(chunk);
-    visited += static_cast<int64_t>(sel.size());
-    auto more = body(chunk, sel);
-    if (!more.ok()) {
-      inner = more.status();
-      break;
-    }
-    base += chunk.rows;
-    if (!*more) break;
+/// Finishes the plan from the driving scan's sink states: a single state
+/// (one lane) as it is; per-morsel partials merged in morsel order first,
+/// traced as the combine. `rows_in` and `consume_ns` describe the sink's
+/// input for the trace.
+StatusOr<sql::ResultSet> FinishStates(const BoundSelect& plan,
+                                      const VecSink& sink,
+                                      std::vector<SinkState>&& states,
+                                      obs::QueryTrace* trace, int64_t rows_in,
+                                      int64_t consume_ns) {
+  const int64_t t_comb = trace != nullptr ? NowNanos() : 0;
+  const size_t parts = states.size();
+  int64_t partial_rows = 0;
+  SinkState merged =
+      parts == 1 ? std::move(states[0])
+                 : MergePartials(plan, sink, std::move(states), &partial_rows);
+  if (trace == nullptr) return sink.Finish(std::move(merged));
+  const int64_t sink_rows = SinkRows(plan, merged);
+  std::optional<obs::TraceOp> comb;
+  if (parts != 1) {
+    comb = CombineOp(plan, "per-morsel", parts, partial_rows, sink_rows,
+                     NowNanos() - t_comb);
   }
-  table.RecordScanBlocks(blocks->scanned, blocks->skipped);
-  if (!inner.ok()) return inner;
-  return visited;
+  const int64_t t_fin = NowNanos();
+  auto rs = sink.Finish(std::move(merged));
+  if (!rs.ok()) return rs.status();
+  TraceSinkOps(trace, plan, rows_in, sink_rows, consume_ns,
+               comb ? &*comb : nullptr, NowNanos() - t_fin, *rs);
+  return rs;
 }
 
 // ---------------------------- single-table path ----------------------------
@@ -1145,7 +1180,7 @@ StatusOr<int64_t> RunSerialScan(const storage::ColumnTable& table,
 enum class Combine { kUndecided, kPerMorsel, kPartitioned };
 
 /// Second phase of the partitioned combine: lanes claim key partitions and
-/// aggregate each one serially over its rows in scan order (`parts` holds
+/// aggregate each one over its rows in scan order (`parts` holds
 /// each morsel's chunks, in scan order), then finalize its groups. Returns
 /// every partition's finalized rows, each tagged with its group's first
 /// scan slot; *groups receives the group count.
@@ -1161,8 +1196,8 @@ StatusOr<std::vector<PendingRow>> AggregatePartitions(
         if (cp.offs[p] == cp.offs[p + 1]) continue;
         sel.assign(cp.rows.begin() + cp.offs[p],
                    cp.rows.begin() + cp.offs[p + 1]);
-        auto more = sink.Consume(&states[p], scan.Chunk(cp.base, cp.slots),
-                                 sel, /*serial=*/true);
+        auto more =
+            sink.Consume(&states[p], scan.Chunk(cp.base, cp.slots), sel);
         if (!more.ok()) return more.status();
       }
     }
@@ -1182,22 +1217,40 @@ StatusOr<std::vector<PendingRow>> AggregatePartitions(
   return rows;
 }
 
-/// Morsel-parallel single-table execution. Non-grouped plans and
-/// low-cardinality GROUP BYs build one partial state per morsel and merge
-/// them in morsel order. High-cardinality GROUP BYs take the radix-
-/// partitioned combine instead: lanes split each chunk's selected rows by
-/// key partition (phase 1), then claim partitions and aggregate each one
-/// serially in scan order (phase 2). Every group then sees its rows in
-/// serial order, so the output equals the serial path's bit for bit.
-StatusOr<sql::ResultSet> RunSingleTableParallel(
-    const BoundSelect& plan, const storage::ColumnTable& table,
-    std::span<const VExpr> filters, std::span<const storage::ZonePred> zpreds,
-    const VecSink& sink, const VecExecOptions& opts, VecExecStats* stats) {
+/// Single-table execution. One lane consumes every morsel, in scan order,
+/// into one sink state and stops at the chunk where an early-stop LIMIT is
+/// met. With more lanes, non-grouped plans and low-cardinality GROUP BYs
+/// build one partial state per morsel and merge them in morsel order;
+/// high-cardinality GROUP BYs take the radix-partitioned combine instead:
+/// lanes split each chunk's selected rows by key partition (phase 1), then
+/// claim partitions and aggregate each one in scan order (phase 2). Every
+/// group then sees its rows in scan order, so the output equals the
+/// one-lane run's bit for bit.
+StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
+                                        const LowerInputs& in,
+                                        const storage::ColumnTable& table,
+                                        const VecSink& sink,
+                                        const VecExecOptions& opts,
+                                        VecExecStats* stats) {
+  const std::vector<ValueType> types = SchemaTypes(table.schema());
+  std::vector<VExpr> filters;
+  filters.reserve(plan.steps[0].filters.size());
+  for (const auto& f : plan.steps[0].filters) {
+    auto lowered = LowerExprSlots(*f, types, 0, in);
+    if (!lowered.ok()) return lowered.status();
+    filters.push_back(std::move(lowered).value());
+  }
+
+  // Zone-refutable bounds from the scan conjuncts: every lane count
+  // consults the pinned blocks' zone maps through the same mask, so it
+  // skips identically.
+  const std::vector<storage::ZonePred> zpreds = ExtractZonePreds(filters);
+
   const bool tracing = opts.trace != nullptr;
-  MorselScan scan(table, opts, zpreds);
+  MorselScan scan(table, opts, zpreds, MaxDriverLanes(opts, plan));
   const size_t morsels = scan.morsel_count();
   std::vector<LaneTrace> lt(tracing ? static_cast<size_t>(scan.lanes()) : 0);
-  std::vector<SinkState> partials(morsels);
+  std::vector<SinkState> states(scan.sink_states());
   std::vector<std::vector<ChunkParts>> parts(morsels);
 
   // Scans and filters morsel `m`, handing each chunk's selection to `step`.
@@ -1207,7 +1260,8 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
                          bool first_pass, auto&& step) -> Status {
     return scan.ScanMorsel(
         lane, m, first_pass,
-        [&](const storage::ColumnChunkView& chunk, Sel& sel) -> Status {
+        [&](const storage::ColumnChunkView& chunk,
+            Sel& sel) -> StatusOr<bool> {
           const bool timed = tracing && first_pass;
           int64_t t0 = timed ? NowNanos() : 0;
           OLXP_RETURN_NOT_OK(ApplyConjuncts(filters, chunk, &sel));
@@ -1218,29 +1272,31 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
             t.selected += static_cast<int64_t>(sel.size());
             t0 = t1;
           }
-          Status st = step(chunk, sel);
+          StatusOr<bool> more = step(chunk, sel);
           if (timed) {
             lt[static_cast<size_t>(lane)].consume_ns += NowNanos() - t0;
           }
-          return st;
+          return more;
         });
   };
   auto partition_into = [&](size_t ordinal) {
     return [&, ordinal](const storage::ColumnChunkView& chunk,
-                        const Sel& sel) -> Status {
-      if (sel.empty()) return Status::OK();
+                        const Sel& sel) -> StatusOr<bool> {
+      if (sel.empty()) return true;
       parts[ordinal].emplace_back();
-      return sink.PartitionRows(chunk, sel, &parts[ordinal].back());
+      OLXP_RETURN_NOT_OK(
+          sink.PartitionRows(chunk, sel, &parts[ordinal].back()));
+      return true;
     };
   };
 
-  // A grouped plan picks its combine from the first morsel's partial: more
-  // than one group per kRowsPerGroupForPartitioning selected rows takes the
-  // partitioned path. That is a property of the input in scan order, so
-  // every lane count takes the same path. Morsels claimed before the
-  // decision lands are consumed as partials; the partitioned path
-  // partitions them again.
-  std::atomic<Combine> combine{sink.grouped() && morsels > 1
+  // A grouped plan on more than one lane picks its combine from the first
+  // morsel's partial: more than one group per kRowsPerGroupForPartitioning
+  // selected rows takes the partitioned path. That is a property of the
+  // input in scan order, so every multi-lane count takes the same path.
+  // Morsels claimed before the decision lands are consumed as partials; the
+  // partitioned path partitions them again.
+  std::atomic<Combine> combine{sink.grouped() && scan.lanes() > 1
                                    ? Combine::kUndecided
                                    : Combine::kPerMorsel};
   auto decide = [&](int64_t groups, int64_t selected) {
@@ -1258,7 +1314,7 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
           return scan_morsel(lane, m, true, partition_into(m.ordinal));
         }
         as_partial[m.ordinal] = 1;
-        SinkState* st = &partials[m.ordinal];
+        SinkState* st = &states[scan.StateOf(m)];
         const bool first = m.ordinal == 0 &&
                            combine.load(std::memory_order_relaxed) ==
                                Combine::kUndecided;
@@ -1266,16 +1322,16 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
         OLXP_RETURN_NOT_OK(scan_morsel(
             lane, m, true,
             [&](const storage::ColumnChunkView& chunk,
-                const Sel& sel) -> Status {
+                const Sel& sel) -> StatusOr<bool> {
               // Once the partitioned combine is chosen this partial is
               // dropped, so the rest of the morsel is only scanned.
               if (combine.load(std::memory_order_acquire) ==
                   Combine::kPartitioned) {
-                return Status::OK();
+                return true;
               }
               selected += static_cast<int64_t>(sel.size());
-              auto more = sink.Consume(st, chunk, sel, /*serial=*/false);
-              if (!more.ok()) return more.status();
+              auto more = sink.Consume(st, chunk, sel);
+              if (!more.ok() || !*more) return more;
               // The first morsel's groups only grow and its selected rows
               // can grow by at most its unscanned slots: when even that
               // bound cannot undo a partitioned verdict, decide now.
@@ -1286,7 +1342,7 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
                                selected + unscanned) {
                 decide(static_cast<int64_t>(st->num_groups()), selected);
               }
-              return Status::OK();
+              return true;
             }));
         if (first && combine.load(std::memory_order_relaxed) ==
                          Combine::kUndecided) {
@@ -1294,43 +1350,23 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
         }
         return Status::OK();
       }));
-  ScanBlocks blocks;
-  const int64_t visited = scan.Finish(&blocks);
-  if (stats != nullptr) {
-    stats->rows_scanned += visited;
-    stats->rows_scanned_driver += visited;
-    stats->lanes_used = std::max(stats->lanes_used, scan.lanes());
-    stats->blocks_scanned += blocks.scanned;
-    stats->blocks_skipped += blocks.skipped;
-  }
+  const ScanTotals totals = scan.FinishDriver(stats);
   LaneTrace t;
   if (tracing) {
     t = SumLanes(lt);
-    opts.trace->lanes = std::max(opts.trace->lanes, scan.lanes());
-    opts.trace->morsels += static_cast<int64_t>(morsels);
     TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(),
-                 visited, blocks.skipped, t, NowNanos() - t_drv);
+                 totals.visited, totals.blocks_skipped, t,
+                 NowNanos() - t_drv);
   }
-  const int64_t t_comb = tracing ? NowNanos() : 0;
 
   if (combine.load(std::memory_order_acquire) != Combine::kPartitioned) {
-    int64_t partial_rows = 0;
-    SinkState merged =
-        MergePartials(plan, sink, std::move(partials), &partial_rows);
-    if (!tracing) return sink.Finish(std::move(merged));
-    const int64_t sink_rows = SinkRows(plan, merged);
-    obs::TraceOp comb = CombineOp(plan, "per-morsel", morsels, partial_rows,
-                                  sink_rows, NowNanos() - t_comb);
-    const int64_t t_fin = NowNanos();
-    auto rs = sink.Finish(std::move(merged));
-    if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns, &comb,
-                 NowNanos() - t_fin, *rs);
-    return rs;
+    return FinishStates(plan, sink, std::move(states), opts.trace, t.selected,
+                        t.consume_ns);
   }
 
+  const int64_t t_comb = tracing ? NowNanos() : 0;
   if (opts.partitioned_counter != nullptr) opts.partitioned_counter->Add(1);
-  partials.clear();
+  states.clear();
   std::vector<size_t> redo;
   for (size_t m = 0; m < morsels; ++m) {
     if (as_partial[m] != 0) redo.push_back(m);
@@ -1350,72 +1386,6 @@ StatusOr<sql::ResultSet> RunSingleTableParallel(
   auto rs = sink.Emit(std::move(rows), /*by_seq=*/true);
   if (!rs.ok()) return rs.status();
   TraceSinkOps(opts.trace, plan, t.selected, ngroups, t.consume_ns, &comb,
-               NowNanos() - t_fin, *rs);
-  return rs;
-}
-
-StatusOr<sql::ResultSet> RunSingleTable(const BoundSelect& plan,
-                                        const LowerInputs& in,
-                                        const storage::ColumnTable& table,
-                                        const VecSink& sink,
-                                        const VecExecOptions& opts,
-                                        VecExecStats* stats) {
-  const std::vector<ValueType> types = SchemaTypes(table.schema());
-  std::vector<VExpr> filters;
-  filters.reserve(plan.steps[0].filters.size());
-  for (const auto& f : plan.steps[0].filters) {
-    auto lowered = LowerExprSlots(*f, types, 0, in);
-    if (!lowered.ok()) return lowered.status();
-    filters.push_back(std::move(lowered).value());
-  }
-
-  // Zone-refutable bounds from the scan conjuncts: the serial and the
-  // parallel scan consult the pinned blocks' zone maps through the same
-  // mask, so they skip identically.
-  const std::vector<storage::ZonePred> zpreds = ExtractZonePreds(filters);
-
-  if (UseParallel(opts, plan)) {
-    return RunSingleTableParallel(plan, table, filters, zpreds, sink, opts,
-                                  stats);
-  }
-
-  const bool tracing = opts.trace != nullptr;
-  SinkState state;
-  LaneTrace t;
-  ScanBlocks blocks;
-  const int64_t t_drv = tracing ? NowNanos() : 0;
-  auto scanned_or = RunSerialScan(
-      table, zpreds, &blocks,
-      [&](const storage::ColumnChunkView& chunk,
-          Sel& sel) -> StatusOr<bool> {
-        int64_t t0 = tracing ? NowNanos() : 0;
-        OLXP_RETURN_NOT_OK(ApplyConjuncts(filters, chunk, &sel));
-        if (tracing) {
-          const int64_t t1 = NowNanos();
-          t.filter_ns += t1 - t0;
-          t.selected += static_cast<int64_t>(sel.size());
-          t0 = t1;
-        }
-        auto more = sink.Consume(&state, chunk, sel, /*serial=*/true);
-        if (tracing) t.consume_ns += NowNanos() - t0;
-        return more;
-      });
-  if (!scanned_or.ok()) return scanned_or.status();
-  const int64_t scanned = *scanned_or;
-  if (stats != nullptr) {
-    stats->rows_scanned += scanned;
-    stats->rows_scanned_driver += scanned;
-    stats->blocks_scanned += blocks.scanned;
-    stats->blocks_skipped += blocks.skipped;
-  }
-  if (!tracing) return sink.Finish(std::move(state));
-  TraceScanOps(opts.trace, plan.steps[0].table_id, !filters.empty(), scanned,
-               blocks.skipped, t, NowNanos() - t_drv);
-  const int64_t sink_rows = SinkRows(plan, state);
-  const int64_t t_fin = NowNanos();
-  auto rs = sink.Finish(std::move(state));
-  if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, t.selected, sink_rows, t.consume_ns, nullptr,
                NowNanos() - t_fin, *rs);
   return rs;
 }
@@ -1503,13 +1473,13 @@ bool WantIntProbe(const JoinLevel& level, const std::vector<Vec>& kvecs) {
 }
 
 /// Per-lane probe machinery: borrows the shared immutable levels, owns its
-/// own reusable output batches and stats. The serial path uses one; the
-/// parallel fan-out one per lane.
+/// own reusable output batches and stats. Each lane of the probe fan-out
+/// uses one.
 class JoinPipeline {
  public:
   JoinPipeline(const std::vector<JoinLevel>& levels, size_t total_slots,
-               const VecSink& sink, VecExecStats* stats, bool serial)
-      : levels_(levels), sink_(sink), stats_(stats), serial_(serial) {
+               const VecSink& sink, VecExecStats* stats)
+      : levels_(levels), sink_(sink), stats_(stats) {
     out_.reserve(levels_.size());
     for (size_t i = 0; i < levels_.size(); ++i) out_.emplace_back(total_slots);
   }
@@ -1569,7 +1539,7 @@ class JoinPipeline {
     storage::ColumnChunkView view = next.View();
     OLXP_RETURN_NOT_OK(ApplyConjuncts(level.residuals, view, &next_sel));
     if (lv + 1 == levels_.size()) {
-      return sink_.Consume(st, view, next_sel, serial_);
+      return sink_.Consume(st, view, next_sel);
     }
     const std::vector<int>& filled = levels_[lv + 1].prev_slots;
     return Probe(st, lv + 1, view, next_sel, filled, filled);
@@ -1580,7 +1550,6 @@ class JoinPipeline {
   std::vector<Batch> out_;  ///< per-level output batches, reused
   const VecSink& sink_;
   VecExecStats* stats_;
-  bool serial_;
 };
 
 /// Whether streaming the other side of a two-table join preserves the
@@ -1713,8 +1682,10 @@ StatusOr<sql::ResultSet> RunHashJoin(
     }
   }
 
-  // Build one hash table per non-stream step, in plan order. The build
-  // stays serial; the tables are immutable afterwards, so the probe
+  // Build one hash table per non-stream step, in plan order. A build
+  // sweeps its table on one lane with no zone bounds (every live row is
+  // visited; the build-local filters decide what is built), and pins it
+  // only for the sweep. The tables are immutable afterwards, so the probe
   // fan-out reads them lock-free from every lane.
   std::vector<JoinLevel> levels;
   std::vector<int> filled = stream_out;  // needed slots materialized so far
@@ -1778,10 +1749,25 @@ StatusOr<sql::ResultSet> RunHashJoin(
       level.residuals.push_back(std::move(lowered).value());
     }
 
-    int64_t scanned = 0;
     const int64_t t_build = opts.trace != nullptr ? NowNanos() : 0;
-    OLXP_RETURN_NOT_OK(level.ht.Build(*tables[k], build_filters, build_keys,
-                                      bneeded, &scanned));
+    level.ht.Init(bstep.ncols, build_keys, bneeded);
+    int64_t scanned = 0;
+    {
+      MorselScan build(*tables[k], opts, {}, /*max_lanes=*/1);
+      OLXP_RETURN_NOT_OK(build.FanOut(
+          [&](int lane, const MorselDispatcher::Morsel& m) -> Status {
+            return build.ScanMorsel(
+                lane, m, /*account=*/true,
+                [&](const storage::ColumnChunkView& chunk,
+                    Sel& sel) -> StatusOr<bool> {
+                  OLXP_RETURN_NOT_OK(
+                      ApplyConjuncts(build_filters, chunk, &sel));
+                  OLXP_RETURN_NOT_OK(level.ht.Add(build_keys, chunk, sel));
+                  return true;
+                });
+          }));
+      scanned = build.Finish().visited;
+    }
     if (opts.trace != nullptr) {
       obs::TraceOp build;
       build.op = "join-build";
@@ -1800,79 +1786,64 @@ StatusOr<sql::ResultSet> RunHashJoin(
     levels.push_back(std::move(level));
   }
 
-  // Stream-side zone bounds: the probe fan-out and the serial probe skip
-  // stream blocks the local stream filters refute.
+  // Stream-side zone bounds: the probe scan skips stream blocks the local
+  // stream filters refute.
   const std::vector<storage::ZonePred> zpreds =
       ExtractZonePreds(stream_filters);
 
+  // The probe fan-out: every lane owns a pipeline (its own batch buffers
+  // and stats) over the shared immutable levels, and fills the sink state
+  // of each morsel it claims.
   const bool tracing = opts.trace != nullptr;
-  if (UseParallel(opts, plan)) {
-    // Parallel probe fan-out: every lane owns a pipeline (its own batch
-    // buffers and stats) over the shared immutable levels, and each morsel
-    // of the stream table accumulates into its own partial sink state.
-    MorselScan scan(*tables[stream], opts, zpreds);
-    const auto lanes = static_cast<size_t>(scan.lanes());
-    std::vector<VecExecStats> lane_stats(lanes);
-    // Pipelines (and their per-level batch buffers) are built lazily on a
-    // lane's first morsel. Each lane only ever touches its own slot.
-    std::vector<std::unique_ptr<JoinPipeline>> pipelines(lanes);
-    std::vector<SinkState> partials(scan.morsel_count());
-    std::vector<LaneTrace> lt(tracing ? lanes : 0);
-    const int64_t t_drv = tracing ? NowNanos() : 0;
-    OLXP_RETURN_NOT_OK(scan.FanOut(
-        [&](int lane, const MorselDispatcher::Morsel& m) -> Status {
-          SinkState* st = &partials[m.ordinal];
-          return scan.ScanMorsel(
-              lane, m, /*account=*/true,
-              [&](const storage::ColumnChunkView& chunk, Sel& sel) -> Status {
-                int64_t t0 = tracing ? NowNanos() : 0;
-                OLXP_RETURN_NOT_OK(
-                    ApplyConjuncts(stream_filters, chunk, &sel));
-                if (!pipelines[lane]) {
-                  pipelines[lane] = std::make_unique<JoinPipeline>(
-                      levels, total_slots, sink, &lane_stats[lane],
-                      /*serial=*/false);
-                }
-                if (tracing) {
-                  LaneTrace& t = lt[static_cast<size_t>(lane)];
-                  const int64_t t1 = NowNanos();
-                  t.filter_ns += t1 - t0;
-                  t.selected += static_cast<int64_t>(sel.size());
-                  t0 = t1;
-                }
-                auto more = pipelines[lane]->Probe(st, 0, chunk, sel,
-                                                   stream_copy, stream_out);
-                if (tracing) {
-                  lt[static_cast<size_t>(lane)].consume_ns +=
-                      NowNanos() - t0;
-                }
-                return more.ok() ? Status::OK() : more.status();
-              });
-        }));
-    ScanBlocks blocks;
-    const int64_t visited = scan.Finish(&blocks);
-    int64_t joined = 0;
-    for (const VecExecStats& ls : lane_stats) joined += ls.rows_joined;
-    if (stats != nullptr) {
-      stats->rows_scanned += visited;
-      stats->rows_scanned_driver += visited;
-      stats->lanes_used = std::max(stats->lanes_used, scan.lanes());
-      stats->rows_joined += joined;
-      stats->blocks_scanned += blocks.scanned;
-      stats->blocks_skipped += blocks.skipped;
-    }
-    const int64_t t_comb = tracing ? NowNanos() : 0;
-    int64_t partial_rows = 0;
-    SinkState merged =
-        MergePartials(plan, sink, std::move(partials), &partial_rows);
-    if (!tracing) return sink.Finish(std::move(merged));
-    const int64_t comb_ns = NowNanos() - t_comb;
+  MorselScan scan(*tables[stream], opts, zpreds, MaxDriverLanes(opts, plan));
+  const auto lanes = static_cast<size_t>(scan.lanes());
+  std::vector<VecExecStats> lane_stats(lanes);
+  // Pipelines (and their per-level batch buffers) are built lazily on a
+  // lane's first morsel. Each lane only ever touches its own slot.
+  std::vector<std::unique_ptr<JoinPipeline>> pipelines(lanes);
+  std::vector<SinkState> states(scan.sink_states());
+  std::vector<LaneTrace> lt(tracing ? lanes : 0);
+  const int64_t t_drv = tracing ? NowNanos() : 0;
+  OLXP_RETURN_NOT_OK(scan.FanOut(
+      [&](int lane, const MorselDispatcher::Morsel& m) -> Status {
+        SinkState* st = &states[scan.StateOf(m)];
+        return scan.ScanMorsel(
+            lane, m, /*account=*/true,
+            [&](const storage::ColumnChunkView& chunk,
+                Sel& sel) -> StatusOr<bool> {
+              int64_t t0 = tracing ? NowNanos() : 0;
+              OLXP_RETURN_NOT_OK(ApplyConjuncts(stream_filters, chunk, &sel));
+              if (!pipelines[lane]) {
+                pipelines[lane] = std::make_unique<JoinPipeline>(
+                    levels, total_slots, sink, &lane_stats[lane]);
+              }
+              if (tracing) {
+                LaneTrace& t = lt[static_cast<size_t>(lane)];
+                const int64_t t1 = NowNanos();
+                t.filter_ns += t1 - t0;
+                t.selected += static_cast<int64_t>(sel.size());
+                t0 = t1;
+              }
+              // The first level probes the raw chunk: its keys are lowered
+              // against the stream table, so non-matching rows are never
+              // materialized into slot layout.
+              auto more = pipelines[lane]->Probe(st, 0, chunk, sel,
+                                                 stream_copy, stream_out);
+              if (tracing) {
+                lt[static_cast<size_t>(lane)].consume_ns += NowNanos() - t0;
+              }
+              return more;
+            });
+      }));
+  const ScanTotals totals = scan.FinishDriver(stats);
+  int64_t joined = 0;
+  for (const VecExecStats& ls : lane_stats) joined += ls.rows_joined;
+  if (stats != nullptr) stats->rows_joined += joined;
+  if (tracing) {
     const LaneTrace t = SumLanes(lt);
-    opts.trace->lanes = std::max(opts.trace->lanes, scan.lanes());
-    opts.trace->morsels += static_cast<int64_t>(scan.morsel_count());
     TraceScanOps(opts.trace, plan.steps[stream].table_id,
-                 !stream_filters.empty(), visited, blocks.skipped, t,
-                 t_comb - t_drv);
+                 !stream_filters.empty(), totals.visited,
+                 totals.blocks_skipped, t, NowNanos() - t_drv);
     obs::TraceOp probe;
     probe.op = "probe";
     probe.detail = std::to_string(levels.size()) + " levels";
@@ -1880,75 +1851,8 @@ StatusOr<sql::ResultSet> RunHashJoin(
     probe.rows_out = joined;
     probe.wall_us = t.consume_ns / 1000;  // includes the sink consume
     opts.trace->ops.push_back(std::move(probe));
-    const int64_t sink_rows = SinkRows(plan, merged);
-    obs::TraceOp comb = CombineOp(plan, "per-morsel", scan.morsel_count(),
-                                  partial_rows, sink_rows, comb_ns);
-    const int64_t t_fin = NowNanos();
-    auto rs = sink.Finish(std::move(merged));
-    if (!rs.ok()) return rs.status();
-    TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, &comb,
-                 NowNanos() - t_fin, *rs);
-    return rs;
   }
-
-  // The serial trace needs the joined-row count even when the caller passed
-  // no stats block.
-  VecExecStats local_stats;
-  VecExecStats* jstats = stats != nullptr ? stats : (tracing ? &local_stats
-                                                             : nullptr);
-  const int64_t joined_before = jstats != nullptr ? jstats->rows_joined : 0;
-  JoinPipeline pipeline(levels, total_slots, sink, jstats, /*serial=*/true);
-  SinkState state;
-  LaneTrace t;
-  ScanBlocks blocks;
-  const int64_t t_drv = tracing ? NowNanos() : 0;
-  auto scanned_or = RunSerialScan(
-      *tables[stream], zpreds, &blocks,
-      [&](const storage::ColumnChunkView& chunk,
-          Sel& sel) -> StatusOr<bool> {
-        int64_t t0 = tracing ? NowNanos() : 0;
-        OLXP_RETURN_NOT_OK(ApplyConjuncts(stream_filters, chunk, &sel));
-        if (tracing) {
-          const int64_t t1 = NowNanos();
-          t.filter_ns += t1 - t0;
-          t.selected += static_cast<int64_t>(sel.size());
-          t0 = t1;
-        }
-        // First-level probe runs straight off the raw chunk: its keys are
-        // lowered against the stream table, so non-matching rows are never
-        // materialized into slot layout.
-        auto more =
-            pipeline.Probe(&state, 0, chunk, sel, stream_copy, stream_out);
-        if (tracing) t.consume_ns += NowNanos() - t0;
-        return more;
-      });
-  if (!scanned_or.ok()) return scanned_or.status();
-  const int64_t scanned = *scanned_or;
-  if (stats != nullptr) {
-    stats->rows_scanned += scanned;
-    stats->rows_scanned_driver += scanned;
-    stats->blocks_scanned += blocks.scanned;
-    stats->blocks_skipped += blocks.skipped;
-  }
-  if (!tracing) return sink.Finish(std::move(state));
-  const int64_t joined = jstats->rows_joined - joined_before;
-  TraceScanOps(opts.trace, plan.steps[stream].table_id,
-               !stream_filters.empty(), scanned, blocks.skipped, t,
-               NowNanos() - t_drv);
-  obs::TraceOp probe;
-  probe.op = "probe";
-  probe.detail = std::to_string(levels.size()) + " levels";
-  probe.rows_in = t.selected;
-  probe.rows_out = joined;
-  probe.wall_us = t.consume_ns / 1000;  // includes the sink consume
-  opts.trace->ops.push_back(std::move(probe));
-  const int64_t sink_rows = SinkRows(plan, state);
-  const int64_t t_fin = NowNanos();
-  auto rs = sink.Finish(std::move(state));
-  if (!rs.ok()) return rs.status();
-  TraceSinkOps(opts.trace, plan, joined, sink_rows, 0, nullptr,
-               NowNanos() - t_fin, *rs);
-  return rs;
+  return FinishStates(plan, sink, std::move(states), opts.trace, joined, 0);
 }
 
 /// Executes one SELECT plan (the statement's, or a subquery's) on the
@@ -2091,7 +1995,8 @@ VecExecStats EstimateReplicaWork(const sql::CompiledStatement& stmt,
     est.rows_scanned_driver = static_cast<int64_t>(
         pin.LiveRowsRead(pin.ComputeSkipMask(ExtractZonePreds(filters))));
   }
-  est.lanes_used = UseParallel(opts, plan) ? FanOutLanes(opts, slots) : 1;
+  est.lanes_used =
+      FanOutLanes(MaxDriverLanes(opts, plan), opts.morsel_rows, slots);
   est.rows_scanned = est.rows_scanned_driver;
   for (size_t k = 0; k < tables.size(); ++k) {
     if (k == side.step) continue;

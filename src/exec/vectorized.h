@@ -26,22 +26,24 @@
 /// table is pinned: a scalar subquery becomes a literal and an IN
 /// subquery a hashed member set.
 ///
-/// With a WorkerPool attached (profile knob exec_threads > 1) scans run
-/// morsel-driven in parallel: execution lanes claim fixed-size morsels of
-/// the pinned table and run the scan -> filter -> sink (or hash-join
-/// probe) pipeline independently. The lanes' work combines one of two
-/// ways, so output rows, group creation order and group-representative
-/// tuples reproduce the serial scan at every lane count:
+/// Every replica sweep (the single-table scan, the join stream and each
+/// hash-join build) runs through one morsel-driven scan driver: execution
+/// lanes claim fixed-size morsels of the pinned table and run the scan ->
+/// filter -> sink (or hash-join probe) pipeline independently. The lanes
+/// come from the WorkerPool (profile knob exec_threads). One lane is the
+/// serial scan: it claims every morsel in scan order into one sink state
+/// and stops at the chunk where an early-stop LIMIT is met. Early-stop
+/// plans and hash-join builds always take one lane. More lanes combine
+/// their work one of two ways, so output rows, group creation order and
+/// group-representative tuples reproduce the one-lane scan bit for bit:
 ///  - per-morsel partials: each morsel fills its own partial state and the
 ///    partials merge in morsel order on the calling thread (projections,
 ///    global and low-cardinality aggregates, every hash-join plan);
 ///  - radix-partitioned (single-table GROUP BY whose first morsel makes
 ///    more than one group per 8 selected rows): lanes split each chunk's
 ///    selected rows by key partition, then claim partitions and aggregate
-///    each serially in scan order. Every group sees its rows in serial
-///    order, so this path equals the serial result bit for bit.
-/// Hash-join build sides stay serial (the shared build table is immutable
-/// during the probe fan-out).
+///    each in scan order, so every group sees its rows in scan order.
+/// The shared build table is immutable during the probe fan-out.
 
 namespace olxp::exec {
 
@@ -75,11 +77,11 @@ struct VecExecStats {
   /// Subset of rows_scanned visited by the DRIVING scan (the single-table
   /// sweep or the join's stream side) — the part the morsel fan-out
   /// overlaps across lanes. The remainder (hash-join build-side sweeps)
-  /// stays serial and is charged undivided.
+  /// runs on one lane and is charged undivided.
   int64_t rows_scanned_driver = 0;
   int64_t rows_built = 0;    ///< rows materialized into join hash tables
   int64_t rows_joined = 0;   ///< joined tuples emitted by probe stages
-  /// Execution lanes the driving scan actually engaged (1 = serial). The
+  /// Execution lanes the driving scan actually engaged. The
   /// latency model divides the driving scan and probe by the effective
   /// parallel speedup derived from this.
   int lanes_used = 1;
@@ -91,21 +93,23 @@ struct VecExecStats {
 
 /// Execution-environment knobs (the plan-independent half of the profile).
 struct VecExecOptions {
-  /// Shared worker pool for morsel-driven parallelism; nullptr (or a pool
-  /// with < 2 lanes) keeps the serial path. Plans whose serial path can
-  /// stop early (LIMIT without ORDER BY / DISTINCT / aggregation) stay
-  /// serial regardless — early exit beats a full parallel sweep.
+  /// Worker pool whose lanes claim the morsels of every scan; the engine
+  /// passes its Database's. nullptr runs every scan on one lane, inline,
+  /// as WorkerPool(1) does. Plans whose scan can stop early (LIMIT without
+  /// ORDER BY / DISTINCT / aggregation) take one lane regardless — early
+  /// exit beats a full parallel sweep.
   WorkerPool* pool = nullptr;
   /// Slots per claimed morsel; rounded up to a multiple of kVecChunkRows so
-  /// parallel lanes evaluate exactly the chunks a serial scan would (chunk
-  /// boundaries are visible to per-chunk vector typing).
+  /// every lane count evaluates the same chunks (chunk boundaries are
+  /// visible to per-chunk vector typing).
   size_t morsel_rows = 4096;
   /// EXPLAIN ANALYZE capture: when non-null, per-operator row counts and
-  /// wall times are appended (per-morsel rollup on parallel scans). Timing
+  /// wall times are appended (summed over lanes). Timing
   /// calls are fully skipped when null, so the untraced hot path pays only
   /// a predictable branch per chunk.
   obs::QueryTrace* trace = nullptr;
-  /// Optional counter bumped once per dispatched morsel (exec.morsels).
+  /// Optional counter bumped once per morsel a lane claimed, build sweeps
+  /// included (exec.morsels_dispatched).
   obs::Counter* morsel_counter = nullptr;
   /// Optional counter bumped once per execution whose GROUP BY took the
   /// radix-partitioned combine (exec.agg.partitioned).
@@ -131,8 +135,8 @@ StatusOr<sql::ResultSet> ExecuteVectorized(const sql::CompiledStatement& stmt,
 /// counts the live rows of the chunks the mask keeps; build sides count
 /// every live row, all of them built (no build-side filter or NULL key is
 /// assumed to drop any); one joined tuple is assumed per streamed row. A
-/// plan whose serial scan stops early at LIMIT is estimated as the full
-/// sweep, and subqueries are not estimated. Returns zeros for a statement
+/// plan whose scan stops early at LIMIT is estimated as the full sweep,
+/// and subqueries are not estimated. Returns zeros for a statement
 /// the replica cannot run.
 VecExecStats EstimateReplicaWork(const sql::CompiledStatement& stmt,
                                  std::span<const Value> params,

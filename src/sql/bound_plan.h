@@ -171,7 +171,7 @@ enum class StmtKind { kSelect, kInsert, kUpdate, kDelete, kCreateTable,
 /// the vectorized engine so both produce bit-identical aggregate results.
 /// Double sums are Neumaier-compensated: the running error term keeps the
 /// final rounded sum independent of accumulation order, so morsel-driven
-/// parallel partials merged out of scan order still agree with a serial
+/// parallel partials merged out of scan order still agree with a one-lane
 /// pass to the last bit for all practical inputs.
 struct AggAccum {
   int64_t count = 0;
@@ -222,7 +222,7 @@ struct AggAccum {
 
   /// Folds a partial accumulator over a disjoint row subset into this one.
   /// Partial-state merge for parallel aggregation: merging per-morsel
-  /// partials in morsel order reproduces the serial result (counts, integer
+  /// partials in morsel order reproduces the one-lane result (counts, integer
   /// sums and extremes exactly; double sums to compensated precision).
   void MergeFrom(const AggAccum& o) {
     count += o.count;

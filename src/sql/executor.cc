@@ -1188,7 +1188,7 @@ StatusOr<ResultSet> ExecuteSelectPlan(const BoundSelect& plan,
     if (tracing) t_join_end = NowNanos();
   } else {
     // Hash aggregation. Groups keep first-seen order, the order the
-    // replica's serial path emits them.
+    // replica emits them.
     std::vector<Group> groups;
     std::unordered_map<Row, size_t, storage::KeyHash, storage::KeyEq>
         group_index;

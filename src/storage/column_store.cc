@@ -138,21 +138,6 @@ void ColumnTable::FillTailSpansLocked(std::vector<ColumnSpan>* spans) const {
   }
 }
 
-int64_t ColumnTable::BatchScan(size_t chunk_rows,
-                               const ChunkCallback& cb) const {
-  assert(chunk_rows > 0);
-  ScanPin pin(*this);
-  int64_t visited = 0;
-  const size_t total = pin.total_slots();
-  for (size_t base = 0; base < total;) {
-    ColumnChunkView view = pin.Chunk(base, chunk_rows);
-    for (size_t i = 0; i < view.rows; ++i) visited += view.live[i];
-    if (!cb(view)) break;
-    base += view.rows;
-  }
-  return visited;
-}
-
 ColumnTable::ScanPin::ScanPin(const ColumnTable& table) : table_(table) {
   table_.mu_.LockShared();
   total_ = table.live_.size();

@@ -2,7 +2,6 @@
 #define OLXP_STORAGE_COLUMN_STORE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,8 +22,8 @@ class MetricsRegistry;
 
 namespace olxp::storage {
 
-/// A window over one table's column storage handed to BatchScan callbacks
-/// and built by ScanPin::Chunk: `rows` consecutive slots starting at global
+/// A window over one table's column storage, built by ScanPin::Chunk:
+/// `rows` consecutive slots starting at global
 /// slot `base`, live-slot flags, and per-column span descriptors pointing
 /// into exactly one sealed block or the mutable tail (a chunk never
 /// straddles the boundary). Kernels read the encoded arrays in place;
@@ -89,8 +88,6 @@ struct ColumnChunkView {
 /// TiFlash's role: analytical scans run here and take no row-store locks.
 class ColumnTable {
  public:
-  using ChunkCallback = std::function<bool(const ColumnChunkView&)>;
-
   /// `encode` false keeps sealed blocks as boxed raw values (slot layout
   /// and scan results identical to encoded mode — zone maps are still
   /// built); the parity sweep runs both.
@@ -104,22 +101,13 @@ class ColumnTable {
   /// Applies one replicated mutation (called by the Replicator only).
   void Apply(const LogOp& op);
 
-  /// Chunked scan over column storage (the vectorized engine's serial
-  /// access path): invokes `cb` with views of up to `chunk_rows`
-  /// consecutive slots (less at block boundaries) until the table is
-  /// exhausted or `cb` returns false. Returns live rows visited. The whole
-  /// scan runs under one shared lock; callbacks must not retain the view
-  /// past their invocation.
-  int64_t BatchScan(size_t chunk_rows, const ChunkCallback& cb) const;
-
   /// Point lookup by primary key.
   std::optional<Row> Get(const Row& pk) const;
 
   size_t LiveRowCount() const;
 
-  /// Total storage slots (live + dead). A raw scan — serial or morsel-
-  /// driven — walks every slot, so this is the size the morsel dispatcher
-  /// partitions.
+  /// Total storage slots (live + dead). A scan walks every slot, so this
+  /// is the size the morsel dispatcher partitions.
   size_t SlotCount() const;
 
   /// Footprint of the current storage: encoded bytes as held in memory vs.
@@ -146,12 +134,12 @@ class ColumnTable {
   size_t SealedBlockCount() const;
   std::vector<EncodedColumn::Enc> BlockEncodings(size_t block) const;
 
-  /// Pins the table for a morsel-driven (possibly multi-threaded) scan:
-  /// the shared latch is held for the pin's lifetime, freezing the slot
-  /// count, live flags, sealed blocks and tail while any number of
-  /// execution lanes read Chunk() views concurrently. Writers (the
-  /// replicator) block until the pin is released — the same snapshot
-  /// semantics BatchScan gives a serial scan, extended to many readers.
+  /// Pins the table for a scan: the shared latch is held for the pin's
+  /// lifetime, freezing the slot count, live flags, sealed blocks and tail
+  /// while any number of execution lanes read Chunk() views concurrently.
+  /// Writers (the replicator) block until the pin is released. Every
+  /// replica sweep of the vectorized engine goes through its one scan
+  /// driver (exec::MorselScan), which holds the only pin per scan.
   class SCOPED_CAPABILITY ScanPin {
    public:
     explicit ScanPin(const ColumnTable& table) ACQUIRE_SHARED(table.mu_);

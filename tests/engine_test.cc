@@ -4,6 +4,7 @@
 
 #include "engine/database.h"
 #include "engine/session.h"
+#include "obs/metrics.h"
 
 namespace olxp::engine {
 namespace {
@@ -64,6 +65,32 @@ TEST(Session, RoutingRules) {
   // Writes always row store.
   ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (5, 6)").ok());
   EXPECT_EQ(s->last_route(), RoutedStore::kRowStore);
+}
+
+/// A statement that fails to parse reaches no store, so it must not be
+/// counted under (or labelled with) the route of the statement before it.
+TEST(Session, FailedPrepareCountsNoRoute) {
+  Database db(NoRowOlap(EngineProfile::TiDbLike()));
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(s->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
+  ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (1, 2), (3, 4)").ok());
+  db.WaitReplicaCaughtUp();
+  ASSERT_TRUE(s->Execute("SELECT SUM(b) FROM t").ok());
+  ASSERT_EQ(s->last_route(), RoutedStore::kColumnStore);
+
+  obs::Counter* col = db.metrics().GetCounter("router.route.column_vectorized");
+  obs::Counter* row = db.metrics().GetCounter("router.route.row");
+  obs::Counter* stmts = db.metrics().GetCounter("session.statements");
+  const int64_t col_before = col->Value();
+  const int64_t row_before = row->Value();
+  const int64_t stmts_before = stmts->Value();
+  s->set_trace_level(1);
+  EXPECT_FALSE(s->Execute("SELEC 1").ok());
+  EXPECT_EQ(col->Value(), col_before);
+  EXPECT_EQ(row->Value(), row_before);
+  EXPECT_EQ(stmts->Value(), stmts_before + 1);
+  EXPECT_TRUE(s->last_trace().route.empty()) << s->last_trace().route;
 }
 
 TEST(Session, StochasticRoutingRepeatsAcrossDatabases) {

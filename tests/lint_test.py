@@ -252,6 +252,37 @@ class LintFixtureTest(unittest.TestCase):
         self.assert_rules(
             {"tests/exec_test.cc": "auto r = CheckedSub(a, b);\n"}, [])
 
+    # ---- scan-driver ----
+
+    def test_scan_pin_outside_driver_fails(self):
+        self.assert_rules(
+            {"src/exec/hash_join.cc":
+             "storage::ColumnTable::ScanPin pin(table);\n",
+             "src/engine/session.cc":
+             "auto p = std::make_unique<ColumnTable::ScanPin>(*t);\n"},
+            ["scan-driver", "scan-driver"])
+
+    def test_scan_pin_in_driver_and_store_passes(self):
+        self.assert_rules(
+            {"src/exec/vectorized.cc":
+             "  storage::ColumnTable::ScanPin pin_;\n"
+             "    storage::ColumnTable::ScanPin pin(*tables[side.step]);\n",
+             "src/storage/column_store.cc":
+             "ColumnTable::ScanPin::ScanPin(const ColumnTable& table)\n",
+             "src/storage/column_store.h":
+             "    explicit ScanPin(const ColumnTable& table);\n",
+             # References, pointers and comments construct nothing.
+             "src/exec/vexpr.cc":
+             "void Read(const storage::ColumnTable::ScanPin& pin);\n"
+             "// one ScanPin per table, taken by MorselScan\n"},
+            [])
+
+    def test_scan_pin_outside_src_passes(self):
+        # Tests may pin a table to inspect its chunks.
+        self.assert_rules(
+            {"tests/storage_test.cc": "    ColumnTable::ScanPin pin(t);\n"},
+            [])
+
     # ---- blocking-under-lock ----
 
     def test_fsync_under_mutex_lock_fails(self):

@@ -18,6 +18,7 @@
 #include "engine/session.h"
 #include "exec/morsel.h"
 #include "exec/vectorized.h"
+#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "tests/result_strings.h"
 
@@ -442,11 +443,36 @@ TEST(ParallelExec, EarlyStopLimitPlansStaySerialAndCorrect) {
                     .ok());
   }
   db.WaitReplicaCaughtUp();
-  auto rs = s->Execute("SELECT k FROM lim WHERE v >= 100 LIMIT 5");
+  const std::string sql = "SELECT k FROM lim WHERE v >= 100 LIMIT 5";
+  auto rs = s->Execute(sql);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(s->last_route(), engine::RoutedStore::kColumnStore);
   ASSERT_EQ(rs->rows.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(rs->rows[i][0].AsInt(), 100 + i);
+
+  // The early exit itself: one lane claims the first morsel and stops at
+  // the first chunk, whatever the pool's width.
+  auto parsed = sql::Parse(sql);
+  ASSERT_TRUE(parsed.ok());
+  auto stmt = sql::Compile(*parsed, db);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("exec_threads=" + std::to_string(threads));
+    db.set_exec_threads(threads);
+    obs::Counter morsels;
+    exec::VecExecOptions opts;
+    opts.pool = db.exec_pool();
+    opts.morsel_rows = db.profile().morsel_rows;
+    opts.morsel_counter = &morsels;
+    exec::VecExecStats run;
+    auto out = exec::ExecuteVectorized(**stmt, {}, db.column_store(), opts,
+                                       &run);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->rows.size(), 5u);
+    EXPECT_EQ(run.lanes_used, 1);
+    EXPECT_EQ(run.rows_scanned, static_cast<int64_t>(exec::kVecChunkRows));
+    EXPECT_EQ(morsels.Value(), 1);
+  }
 }
 
 // ------------------------------- routing -----------------------------------
@@ -692,7 +718,8 @@ TEST(ParallelEnv, ExecThreadsEnvOverridesProfile) {
   ASSERT_EQ(unsetenv("OLXP_EXEC_THREADS"), 0);
   {
     engine::Database db(ParallelProfile(1));
-    EXPECT_EQ(db.exec_pool(), nullptr);
+    ASSERT_NE(db.exec_pool(), nullptr);
+    EXPECT_EQ(db.exec_pool()->lanes(), 1);
   }
   // Put the CI-provided value back for the rest of this binary.
   if (orig != nullptr) {
