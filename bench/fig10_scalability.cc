@@ -31,7 +31,6 @@ void IntraQueryScaling(const BenchOptions& opts,
   std::printf("\n--- intra-query scaling: exec_threads ablation ---\n");
   engine::EngineProfile p = engine::EngineProfile::TiDbLike();
   p.olap_row_fraction = 0.0;
-  p.cost_based_routing = false;
   engine::Database db(p);
   auto s = db.CreateSession();
   s->set_charging_enabled(false);
@@ -92,6 +91,10 @@ void IntraQueryScaling(const BenchOptions& opts,
                                  scan_speedup_at8)
                   .c_str());
   report->AddMetric("intra_query", "speedup_8t", scan_speedup_at8);
+  report->AddMetric(
+      "router", "cost_overrides_to_row",
+      static_cast<double>(
+          db.metrics().GetCounter("router.cost_overrides_to_row")->Value()));
 }
 
 CellOut Measure(engine::Database& db, const benchfw::BenchmarkSuite& suite,

@@ -78,41 +78,10 @@ int Main(int argc, char** argv) {
               benchfw::FigureRow("fig1", 0, "tput_factor", tput_ratio)
                   .c_str());
 
-  // Chunked-scan ablation (§V-B interference path): rerun the hybrid cell
-  // with scans holding the table latch for their WHOLE sweep (the
-  // pre-chunking engine) and print the before/after factor pair. In THIS
-  // cell the real-time query sweeps ITEM, which the OLTP mix never writes,
-  // so the factors should match within noise — the check is that chunked
-  // scans cost the hybrid figure nothing. The cell where sweeps and
-  // commits share tables (where whole-sweep latch holds visibly inflate
-  // OLTP latency) is fig4's ablation.
-  const size_t prev_chunk = db.profile().scan_chunk_rows;
-  db.set_scan_chunk_rows(0);
-  auto hybrid_unchunked = Cell(db, suite, {hybrid}, opts.Run());
-  db.set_scan_chunk_rows(prev_chunk);
-  const auto& hu = hybrid_unchunked.Of(benchfw::AgentKind::kHybrid);
-  double lat_ratio_unchunked =
-      b.latency.Mean() > 0 ? hu.latency.Mean() / b.latency.Mean() : 0;
-  std::printf("\n--- chunked-scan ablation (hybrid cell) ---\n");
-  std::printf("X1 (whole-sweep latch): %s\n",
-              benchfw::FormatKindStats(benchfw::AgentKind::kHybrid, hu,
-                                       hybrid_unchunked.measure_seconds)
-                  .c_str());
-  std::printf("latency factor, chunked scans (default): %.2fx\n", lat_ratio);
-  std::printf("latency factor, whole-sweep latch:       %.2fx\n",
-              lat_ratio_unchunked);
-  std::printf("%s\n",
-              benchfw::FigureRow("fig1", 1, "latency_factor_unchunked",
-                                 lat_ratio_unchunked)
-                  .c_str());
-
   jreport.AddCell("baseline", baseline);
   jreport.AddCell("hybrid", hybrid_run);
-  jreport.AddCell("hybrid_unchunked", hybrid_unchunked);
   jreport.AddMetric("impact", "latency_factor", lat_ratio);
   jreport.AddMetric("impact", "tput_factor", tput_ratio);
-  jreport.AddMetric("impact", "latency_factor_unchunked",
-                    lat_ratio_unchunked);
   jreport.Write();
   return 0;
 }

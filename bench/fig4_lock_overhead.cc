@@ -89,25 +89,24 @@ int Main(int argc, char** argv) {
     jreport.AddMetric("schema_gap", "gap_olap" + std::to_string(n), gap);
   }
 
-  // Chunked-scan ablation (§V-B interference path): subench OLTP under
+  // Latch interference (§V-B interference path): subench OLTP under
   // CLOSED-LOOP analytical sweeps (back-to-back scans, the worst case for
-  // latch holds), chunked vs whole-sweep-latch scans on the same data.
-  // OLTP latency inflation — lat(with OLAP)/lat(without) — rises when every
-  // committer's InstallVersion stalls behind an entire analytical sweep;
-  // the chunked resume-key scans bound that stall to one chunk.
+  // latch holds). OLTP latency inflation — lat(with OLAP)/lat(without) —
+  // rises when committers' InstallVersion stalls behind analytical sweeps;
+  // the chunked resume-key scans bound each stall to one chunk
+  // (storage::kScanChunkRows rows).
   //
   // Methodology (as in durability_modes): the simulated device-latency
-  // model is ZEROED, because the chunked-scan refactor changes real
-  // wall-clock concurrency, not modeled costs — with the model on, its
-  // sleeps dominate and bury the latch effect in noise. What remains is
-  // genuine execution time, so the inflation isolates latch interference.
+  // model is ZEROED, because latch holds change real wall-clock
+  // concurrency, not modeled costs — with the model on, its sleeps
+  // dominate and bury the latch effect in noise. What remains is genuine
+  // execution time, so the inflation isolates latch interference.
   {
     engine::EngineProfile profile = engine::EngineProfile::TiDbLike();
     // Every analytical statement on the row store (TiDbLike's default
     // routes only 65% there) so each sweep holds row-store latches — the
     // interference path under measurement.
     profile.olap_row_fraction = 1.0;
-    profile.cost_based_routing = false;
     profile.latency.row_seek_ns = 0;
     profile.latency.row_scan_row_ns = 0;
     profile.latency.row_analytic_scan_row_ns = 0;
@@ -122,7 +121,7 @@ int Main(int argc, char** argv) {
     benchfw::BenchmarkSuite suite = benchmarks::MakeSubenchmark(opts.Load());
     Status st = benchfw::SetUp(db, suite);
     if (!st.ok()) {
-      std::fprintf(stderr, "setup (ablation) failed: %s\n",
+      std::fprintf(stderr, "setup (interference) failed: %s\n",
                    st.ToString().c_str());
       return 1;
     }
@@ -135,38 +134,21 @@ int Main(int argc, char** argv) {
     olap.request_rate = -1;  // closed loop: continuous sweeps
     olap.threads = 2;
     auto baseline = Cell(db, suite, {oltp}, opts.Run());
-    auto chunked = Cell(db, suite, {oltp, olap}, opts.Run());
-    const size_t prev_chunk = db.profile().scan_chunk_rows;
-    db.set_scan_chunk_rows(0);
-    auto unchunked = Cell(db, suite, {oltp, olap}, opts.Run());
-    db.set_scan_chunk_rows(prev_chunk);
+    auto loaded = Cell(db, suite, {oltp, olap}, opts.Run());
     const double base_lat =
         baseline.Of(benchfw::AgentKind::kOltp).latency.Mean();
-    double infl_chunked =
+    double inflation =
         base_lat > 0
-            ? chunked.Of(benchfw::AgentKind::kOltp).latency.Mean() / base_lat
-            : 0;
-    double infl_unchunked =
-        base_lat > 0
-            ? unchunked.Of(benchfw::AgentKind::kOltp).latency.Mean() /
-                  base_lat
+            ? loaded.Of(benchfw::AgentKind::kOltp).latency.Mean() / base_lat
             : 0;
     std::printf(
-        "\n--- chunked-scan ablation (subench, 2 closed-loop OLAP) ---\n");
-    std::printf("OLTP latency inflation, chunked scans (default): %.2fx\n",
-                infl_chunked);
-    std::printf("OLTP latency inflation, whole-sweep latch:       %.2fx\n",
-                infl_unchunked);
+        "\n--- latch interference (subench, 2 closed-loop OLAP) ---\n");
+    std::printf("OLTP latency inflation under chunked scans: %.2fx\n",
+                inflation);
     std::printf("%s\n",
-                benchfw::FigureRow("fig4", 0, "oltp_inflation_chunked",
-                                   infl_chunked)
+                benchfw::FigureRow("fig4", 0, "oltp_inflation", inflation)
                     .c_str());
-    std::printf("%s\n",
-                benchfw::FigureRow("fig4", 1, "oltp_inflation_unchunked",
-                                   infl_unchunked)
-                    .c_str());
-    jreport.AddMetric("ablation", "oltp_inflation_chunked", infl_chunked);
-    jreport.AddMetric("ablation", "oltp_inflation_unchunked", infl_unchunked);
+    jreport.AddMetric("interference", "oltp_inflation", inflation);
   }
   jreport.Write();
   return 0;

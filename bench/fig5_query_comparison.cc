@@ -62,7 +62,6 @@ void VectorizedComparison(const BenchOptions& opts,
   std::printf("\n--- row-store interpreter vs vectorized replica ---\n");
   engine::EngineProfile p = engine::EngineProfile::TiDbLike();
   p.olap_row_fraction = 0.0;
-  p.cost_based_routing = false;  // pin stand-alone runs to the replica
   engine::Database db(p);
   auto s = db.CreateSession();
   s->set_charging_enabled(false);  // wall-clock, not the simulated model
@@ -155,6 +154,12 @@ void VectorizedComparison(const BenchOptions& opts,
   report->AddMetric("vectorized", "replica_join_speedup", worst_join);
   report->AddMetric("vectorized", "parallel_scan_speedup", worst_par);
   report->AddMetric("vectorized", "parallel_parity_ok", parity_ok ? 1 : 0);
+  // Full sweeps: the router's cost comparison must keep them all on the
+  // replica, or the "replica" timings above measured the row store.
+  report->AddMetric(
+      "router", "cost_overrides_to_row",
+      static_cast<double>(
+          db.metrics().GetCounter("router.cost_overrides_to_row")->Value()));
 }
 
 int Main(int argc, char** argv) {

@@ -1,8 +1,9 @@
 // Differential SQL oracle: one statement, four execution configurations —
 // the row-store interpreter in a read-only transaction (the reference) and
-// the stand-alone statement at exec_threads 1, 2 and 8, which the router
-// sends to the vectorized replica whenever the engine serves the shape —
-// any disagreement is a bug. This is the logic layer shared by the
+// the replica's vectorized engine at exec_threads 1, 2 and 8, run directly
+// (ReplicaExecute) rather than through the router, so every SELECT the
+// engine serves is compared, whichever store the router would pick — any
+// disagreement is a bug. This is the logic layer shared by the
 // fuzz_sql_differential target, the corpus replayer and the smoke test;
 // it owns a long-lived seeded Database so per-input cost is one statement,
 // not one engine bootstrap.
@@ -40,8 +41,7 @@ struct Env {
 
 engine::EngineProfile FuzzProfile() {
   auto p = engine::EngineProfile::TiDbLike();
-  p.olap_row_fraction = 0.0;    // deterministic routing
-  p.cost_based_routing = false;  // pin analytical statements to the replica
+  p.olap_row_fraction = 0.0;  // deterministic routing
   p.replication_lag_micros = 0;
   p.vacuum_interval_us = 0;      // no background thread: deterministic state
   p.durability = storage::DurabilityMode::kOff;
@@ -166,6 +166,9 @@ bool HasWord(const std::string& sql, const char* word) {
 struct PathRun {
   std::string label;
   bool ok = false;
+  /// The replica engine refused the shape (a non-equi join, a mixed-type
+  /// CASE); the router runs such a statement on the row store instead.
+  bool unsupported = false;
   std::string error;
   std::vector<std::string> columns;
   std::vector<std::string> rows;
@@ -175,12 +178,13 @@ PathRun RunPath(Env& env, const std::string& sql, bool row_store,
                 int threads, bool perturb) {
   PathRun out;
   out.label = row_store ? "row-store"
-                        : "stand-alone/threads=" + std::to_string(threads);
+                        : "replica/threads=" + std::to_string(threads);
   env.db->set_exec_threads(threads);
   auto rs = row_store ? RowStoreExecute(*env.session, sql)
-                      : env.session->Execute(sql);
+                      : ReplicaExecute(*env.db, sql);
   out.ok = rs.ok();
   if (!rs.ok()) {
+    out.unsupported = rs.status().code() == StatusCode::kUnsupported;
     out.error = rs.status().ToString();
     return out;
   }
@@ -217,7 +221,7 @@ void SetResultPerturberForTest(std::function<void(sql::ResultSet*)> fn) {
   Perturber() = std::move(fn);
 }
 
-std::string RunSqlDifferential(const std::string& sql) {
+std::string RunSqlDifferential(const std::string& sql, bool expect_error) {
   Env& env = GetEnv();
   ++env.statements;
 
@@ -238,9 +242,23 @@ std::string RunSqlDifferential(const std::string& sql) {
   PathRun par8 = RunPath(env, sql, /*row_store=*/false, 8, false);
   env.db->set_exec_threads(1);
 
-  // 1. Every path must agree on success vs failure.
-  for (const PathRun* p : {&serial, &par2, &par8}) {
-    if (p->ok != interp.ok) return Divergence(sql, "ok-ness", interp, *p);
+  // 0. A statement built to be invalid is rejected on every path.
+  if (expect_error) {
+    for (const PathRun* p : {&serial, &par2, &par8, &interp}) {
+      if (p->ok) return Divergence(sql, "expected an error", interp, *p);
+    }
+  }
+
+  // 1. Every path must agree on success vs failure, except that a shape
+  //    the replica engine refuses has no replica answer to compare.
+  for (const PathRun* p : {&par2, &par8}) {
+    if (p->ok != serial.ok || p->unsupported != serial.unsupported) {
+      return Divergence(sql, "ok-ness", serial, *p);
+    }
+  }
+  if (serial.unsupported) return "";
+  if (serial.ok != interp.ok) {
+    return Divergence(sql, "ok-ness", interp, serial);
   }
   if (!interp.ok) return "";  // all paths rejected the statement: agreed
 
@@ -256,7 +274,7 @@ std::string RunSqlDifferential(const std::string& sql) {
     }
   }
 
-  // 3. Row store vs stand-alone: same columns, same row multiset (row
+  // 3. Row store vs replica: same columns, same row multiset (row
   //    order of unordered queries is engine-dependent); LIMIT without a
   //    total order only pins the row count.
   if (serial.columns != interp.columns) {
@@ -285,6 +303,7 @@ namespace {
 constexpr const char* kIntCols[] = {"a", "b", "e"};
 constexpr const char* kNumCols[] = {"a", "b", "e", "c"};
 constexpr const char* kAllCols[] = {"a", "b", "c", "d", "e"};
+constexpr const char* kNonKeyCols[] = {"b", "c", "d", "e"};
 constexpr const char* kTags[] = {"alpha", "beta", "gamma", "ab_x", "ab_y"};
 constexpr const char* kLikePats[] = {"ab%", "%a%", "%x", "a_pha", "%"};
 constexpr const char* kCmpOps[] = {"=", "!=", "<", "<=", ">", ">="};
@@ -386,8 +405,8 @@ std::string AggItem(ByteReader& r) {
   return std::string(agg) + "(" + std::string(r.Pick(kNumCols)) + ")";
 }
 
-std::string GenerateSelect(ByteReader& r) {
-  switch (r.Int(0, 5)) {
+std::string GenerateSelect(ByteReader& r, bool* expect_error) {
+  switch (r.Int(0, 6)) {
     case 0: {  // projection scan
       std::string items;
       const int n = static_cast<int>(r.Int(1, 4));
@@ -435,6 +454,21 @@ std::string GenerateSelect(ByteReader& r) {
       if (r.Bool()) sql += " WHERE " + Pred(r, 0);
       return sql;
     }
+    case 6: {  // a column neither grouped nor determined by the grouped key
+      const std::string g = r.Pick(kNonKeyCols);
+      std::string x = r.Pick(kNonKeyCols);
+      if (x == g) x = "a";  // the primary key, not grouped here
+      std::string sql = "SELECT " + g + ", " + AggItem(r);
+      const int64_t where_x = r.Int(0, 2);
+      if (where_x == 0) sql += ", " + x;
+      sql += " FROM t";
+      if (r.Bool()) sql += " WHERE " + Pred(r, 0);
+      sql += " GROUP BY " + g;
+      if (where_x == 1) sql += " HAVING " + x + " IS NOT NULL";
+      if (where_x == 2) sql += " ORDER BY " + x;
+      *expect_error = true;
+      return sql;
+    }
     default: {  // CASE projection
       std::string sql = "SELECT a, CASE WHEN " + Pred(r, 1) + " THEN " +
                         NumExpr(r, 2) + " ELSE " + NumExpr(r, 2) +
@@ -447,9 +481,10 @@ std::string GenerateSelect(ByteReader& r) {
 
 }  // namespace
 
-std::string GenerateSql(ByteReader& r) {
+std::string GenerateSql(ByteReader& r, bool* expect_error) {
+  *expect_error = false;
   const int64_t kind = r.Int(0, 9);
-  if (kind <= 6) return GenerateSelect(r);
+  if (kind <= 6) return GenerateSelect(r, expect_error);
   switch (kind) {
     case 7: {  // insert (fresh or clashing primary key; both must be clean)
       const int64_t pk = r.Int(1, 4000);
@@ -470,16 +505,17 @@ std::string GenerateSql(ByteReader& r) {
 int SqlOne(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
   std::string sql;
+  bool expect_error = false;
   if (data[0] == 0xFF) {
     ByteReader r(data + 1, size - 1);
-    sql = GenerateSql(r);
+    sql = GenerateSql(r, &expect_error);
   } else {
     // Raw-text mode: the corpus stays human-readable and libFuzzer's plain
     // byte mutations explore the lexer/parser directly.
     if (size > 4096) size = 4096;  // bound parser work per input
     sql.assign(reinterpret_cast<const char*>(data), size);
   }
-  std::string report = RunSqlDifferential(sql);
+  std::string report = RunSqlDifferential(sql, expect_error);
   if (!report.empty()) {
     std::fprintf(stderr, "%s", report.c_str());
     std::abort();

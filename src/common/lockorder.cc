@@ -30,6 +30,8 @@ const char* LockRankName(LockRank rank) {
       return "SnapshotRegistry";
     case LockRank::kCatalog:
       return "Catalog";
+    case LockRank::kTableGate:
+      return "TableGate";
     case LockRank::kTableLatch:
       return "TableLatch";
     case LockRank::kVacuumState:

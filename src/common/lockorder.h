@@ -48,6 +48,8 @@ namespace olxp::sync {
 ///   SnapshotRegistry: registered inside the commit scope (checkpoint) and
 ///                    under the vacuum/replicator outer locks.
 ///   Catalog        : store-level name->table maps; held only to resolve.
+///   TableGate      : MvccTable writer gate, held around the exclusive latch
+///                    so overlapping chunked scans cannot starve a writer.
 ///   TableLatch     : MvccTable / ColumnTable latches. Siblings share the
 ///                    rank; a statement pins ONE table per scan (the
 ///                    interpreter join materializes each level first).
@@ -68,6 +70,7 @@ enum class LockRank : int {
   kOracleCommit = 500,
   kSnapshotRegistry = 600,
   kCatalog = 700,
+  kTableGate = 750,
   kTableLatch = 800,
   kVacuumState = 850,
   kWalIo = 900,

@@ -8,22 +8,6 @@
 
 namespace olxp {
 
-const char* ValueTypeName(ValueType t) {
-  switch (t) {
-    case ValueType::kNull:
-      return "NULL";
-    case ValueType::kInt:
-      return "INT";
-    case ValueType::kDouble:
-      return "DOUBLE";
-    case ValueType::kString:
-      return "VARCHAR";
-    case ValueType::kTimestamp:
-      return "TIMESTAMP";
-  }
-  return "?";
-}
-
 // AsInt/AsDouble/AsString are inline in value.h (vectorized-scan hot path).
 
 int Value::Compare(const Value& other) const {

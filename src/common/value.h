@@ -23,9 +23,6 @@ enum class ValueType : uint8_t {
   kTimestamp, ///< microseconds since Unix epoch.
 };
 
-/// Returns the SQL-ish name of a type ("INT", "DOUBLE", ...).
-const char* ValueTypeName(ValueType t);
-
 /// A dynamically typed SQL value. Small, copyable, totally ordered within
 /// the same type class (numeric types compare cross-type).
 class Value {

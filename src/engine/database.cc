@@ -97,13 +97,6 @@ const storage::TableSchema& Database::GetSchema(int table_id) const {
   return t->schema();
 }
 
-void Database::set_scan_chunk_rows(size_t rows) {
-  profile_.scan_chunk_rows = rows;
-  for (int id : row_store_.TableIds()) {
-    row_store_.table(id)->set_scan_chunk_rows(rows);
-  }
-}
-
 Status Database::CreateTableEverywhere(storage::TableSchema schema) {
   // Resolve FK referenced-column positions against live tables.
   for (auto& fk : *schema.mutable_foreign_keys()) {
@@ -117,9 +110,8 @@ Status Database::CreateTableEverywhere(storage::TableSchema schema) {
   }
   auto tid = row_store_.CreateTable(schema);
   if (!tid.ok()) return tid.status();
-  row_store_.table(*tid)->set_scan_chunk_rows(profile_.scan_chunk_rows);
   if (profile_.architecture == StoreArchitecture::kSeparated) {
-    column_store_.AddTable(*tid, schema, profile_.columnar_encoding);
+    column_store_.AddTable(*tid, schema);
   }
   // wal_ is null while recovery replays DDL frames, so replay never re-logs.
   if (wal_ != nullptr) {

@@ -134,11 +134,6 @@ class Database : public sql::Catalog {
   /// first.
   void set_exec_threads(int n);
 
-  /// Sets the chunked-scan latch-drop granularity on every table (0 = hold
-  /// the latch for the whole sweep). The fig1/fig4 ablations flip this
-  /// between cells to measure the §V-B interference path before/after.
-  void set_scan_chunk_rows(size_t rows);
-
  private:
   /// Loads the checkpoint and replays WAL segments from profile_.wal_dir,
   /// then opens the segment writer for new commits.

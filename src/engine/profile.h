@@ -92,7 +92,9 @@ struct ClusterModel {
 
 /// A system-under-test personality: storage architecture + isolation +
 /// latency model + cluster model. Three factory presets emulate the paper's
-/// SUTs; every knob stays user-configurable for ablations.
+/// SUTs. Each field is a setting a workload or figure runs with; storage
+/// formats (block encoding, scan chunking) and the router's cost comparison
+/// are fixed by the engine, not configured.
 struct EngineProfile {
   std::string name = "memsql-like";
   StoreArchitecture architecture = StoreArchitecture::kUnified;
@@ -104,7 +106,10 @@ struct EngineProfile {
   /// Probability that a stand-alone analytical SELECT executes on the row
   /// store despite a replica existing (the cost-based optimizer picking
   /// TiKV over TiFlash; §V-B1 notes scans "can occur in the row store of
-  /// TiKV or the column store of TiFlash"). Ignored for kUnified.
+  /// TiKV or the column store of TiFlash"). Ignored for kUnified. Beside
+  /// this draw, the router always compares costs: an index-backed SELECT
+  /// runs on the row store when its estimate beats a replica sweep (the
+  /// replica keeps no ordered index).
   double olap_row_fraction = 0.0;
   /// Cost multiplier for analytical-shaped SELECTs (aggregates or joins)
   /// executed INSIDE an explicit transaction. Models the paper's MemSQL
@@ -113,22 +118,6 @@ struct EngineProfile {
   /// waiting time (§VI-A1). Separated-store engines suffer less (the row
   /// store at least holds rows contiguously).
   double txn_analytical_scan_penalty = 1.0;
-  /// Columnar replica block encoding: sealed blocks compress each column
-  /// (string dictionary, integer RLE / bit-packing, flat arrays) and carry
-  /// min/max zone maps. Off keeps sealed blocks as boxed raw values — scan
-  /// results and block skipping are identical either way (zone maps are
-  /// always built); the exec parity suite sweeps both settings.
-  bool columnar_encoding = true;
-  /// Stand-alone analytical SELECTs routed to the replica run on the
-  /// vectorized columnar engine (src/exec/), its only executor; a plan the
-  /// engine cannot lower (a non-equi join) or refuses at run time runs on
-  /// the row store instead.
-  ///
-  /// Deterministic cost-based routing: an index-backed single-table SELECT
-  /// runs on the row store when its estimated cost beats a full replica
-  /// sweep (the replica keeps no ordered index). Complements the stochastic
-  /// olap_row_fraction model above.
-  bool cost_based_routing = true;
   /// Intra-query parallelism for the vectorized columnar engine: execution
   /// lanes (including the calling session thread) that claim morsels of a
   /// pinned replica scan. engine::Database owns a shared exec::WorkerPool
@@ -161,12 +150,6 @@ struct EngineProfile {
   /// Rows each vacuum chunk examines under one exclusive table latch
   /// before dropping it (bounds committer stalls behind the vacuum).
   size_t vacuum_batch_rows = 512;
-  /// Rows a table scan visits per shared-latch chunk before dropping the
-  /// latch so committers can interleave (the §V-B interference path:
-  /// a whole-sweep latch hold stalls every InstallVersion behind an
-  /// analytical scan). 0 = hold the latch for the whole sweep (the
-  /// pre-chunking behaviour, kept for before/after ablations).
-  size_t scan_chunk_rows = 1024;
   /// Commit durability: kOff keeps the redo log in memory only (the seed
   /// behaviour — a restart loses the database); the other modes persist
   /// every commit to WAL segments under `wal_dir` and recover from them

@@ -441,8 +441,7 @@ StatusOr<sql::ResultSet> Session::ExecuteRouted(const Prepared& prepared,
   exec::VecExecStats replica_est;
   double row_seeks_est = 0;
   double row_rows_est = 0;
-  if (route_to_column && db_->profile().cost_based_routing &&
-      shape.seek_driven) {
+  if (route_to_column && shape.seek_driven) {
     // The row store probes about 1% of the driving table through its index
     // and joins by one seek per probe into each later table; the replica
     // sweeps (and hashes) instead, skipping only zone-refuted blocks.

@@ -1554,33 +1554,12 @@ class JoinPipeline {
 
 /// Whether streaming the other side of a two-table join preserves the
 /// interpreter parity contract. Swapping changes the emission order, which
-/// is visible through (a) LIMIT without a full sort picking a different row
-/// subset and (b) grouped-aggregate representative tuples ("first row of
-/// the group"): a raw slot projected (or used in HAVING / ORDER BY) that is
-/// not itself a GROUP BY key takes its value from the representative, so
-/// its value depends on the driving order.
+/// is visible through LIMIT without a full sort picking a different row
+/// subset. Grouped-aggregate representative tuples ("first row of the
+/// group") cannot leak it: the compiler's grouping rule lets an aggregate
+/// plan read a column only where it is constant within each group.
 bool SwapPreservesParity(const BoundSelect& plan) {
-  if (plan.limit >= 0 && !plan.aggregate_mode && plan.order_by.empty()) {
-    return false;
-  }
-  if (!plan.aggregate_mode) return true;
-  std::vector<uint8_t> refs(plan.total_slots, 0);
-  for (const auto& p : plan.projections) MarkSlots(*p, &refs);
-  if (plan.having) MarkSlots(*plan.having, &refs);
-  for (const BoundOrderItem& oi : plan.order_by) {
-    if (oi.expr) MarkSlots(*oi.expr, &refs);
-  }
-  std::vector<uint8_t> keyed(plan.total_slots, 0);
-  for (const auto& g : plan.group_by) {
-    if (g->kind == sql::BKind::kSlot && g->slot >= 0 &&
-        static_cast<size_t>(g->slot) < keyed.size()) {
-      keyed[g->slot] = 1;
-    }
-  }
-  for (int s = 0; s < plan.total_slots; ++s) {
-    if (refs[s] && !keyed[s]) return false;  // representative-dependent
-  }
-  return true;
+  return plan.limit < 0 || plan.aggregate_mode || !plan.order_by.empty();
 }
 
 /// Splits every join step's filters (ClassifyJoinStep); false when a step

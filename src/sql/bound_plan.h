@@ -272,7 +272,6 @@ struct CompiledStatement::Impl {
   std::unique_ptr<BoundDelete> del;
   std::unique_ptr<BoundCreateTable> create_table;
   std::unique_ptr<BoundCreateIndex> create_index;
-  int param_count = 0;
   int num_subqueries = 0;
 };
 

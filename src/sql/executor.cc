@@ -10,7 +10,6 @@
 #include "common/clock.h"
 #include "common/strings.h"
 #include "sql/bound_plan.h"
-#include "sql/parser.h"
 #include "sql/scalar_ops.h"
 
 namespace olxp::sql {
@@ -104,7 +103,6 @@ class Compiler {
     } else {
       return Status::Internal("unknown statement variant");
     }
-    impl->param_count = max_param_ + 1;
     impl->num_subqueries = num_subqueries_;
     return impl;
   }
@@ -169,6 +167,7 @@ class Compiler {
       }
       auto e = CompileExpr(*item.expr, scope, has_agg, plan.get());
       if (!e.ok()) return e.status();
+      if (has_agg) OLXP_RETURN_NOT_OK(CheckGrouped(**e, *plan, scope));
       plan->projections.push_back(std::move(e).value());
       plan->column_names.push_back(
           !item.alias.empty() ? item.alias : DeriveName(*item.expr));
@@ -178,6 +177,7 @@ class Compiler {
     if (stmt.having) {
       auto e = CompileExpr(*stmt.having, scope, has_agg, plan.get());
       if (!e.ok()) return e.status();
+      if (has_agg) OLXP_RETURN_NOT_OK(CheckGrouped(**e, *plan, scope));
       plan->having = std::move(e).value();
     }
 
@@ -237,6 +237,7 @@ class Compiler {
       }
       auto e = CompileExpr(*oi.expr, scope, has_agg, plan.get());
       if (!e.ok()) return e.status();
+      if (has_agg) OLXP_RETURN_NOT_OK(CheckGrouped(**e, *plan, scope));
       bo.expr = std::move(e).value();
       plan->order_by.push_back(std::move(bo));
     }
@@ -409,6 +410,58 @@ class Compiler {
     out->push_back(&e);
   }
 
+  static bool SameBound(const BoundExpr& a, const BoundExpr& b) {
+    if (a.kind != b.kind || a.slot != b.slot ||
+        a.param_index != b.param_index || a.uop != b.uop ||
+        a.bop != b.bop || a.negated_in != b.negated_in ||
+        a.sub_id != b.sub_id || a.literal.type() != b.literal.type() ||
+        a.literal != b.literal || a.children.size() != b.children.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < a.children.size(); ++i) {
+      if (!SameBound(*a.children[i], *b.children[i])) return false;
+    }
+    return true;
+  }
+
+  /// The grouping rule of SQL:1999 (and PostgreSQL): outside aggregates, an
+  /// aggregate query's SELECT list, HAVING and ORDER BY read a column only
+  /// inside an expression that matches a GROUP BY expression, or when every
+  /// primary-key column of the column's table is grouped (one row of that
+  /// table per group). Any other column would take an arbitrary row of its
+  /// group, and the two stores visit a group's rows in different orders.
+  static Status CheckGrouped(const BoundExpr& e, const BoundSelect& plan,
+                             const std::vector<TableBinding>& scope) {
+    for (const BoundExprPtr& g : plan.group_by) {
+      if (SameBound(e, *g)) return Status::OK();
+    }
+    if (e.kind == BKind::kSlot) {
+      const TableBinding* b = &scope.front();
+      for (const TableBinding& t : scope) {
+        if (t.base <= e.slot) b = &t;
+      }
+      bool pk_grouped = true;
+      for (int pk : b->schema->pk_columns()) {
+        bool grouped = false;
+        for (const BoundExprPtr& g : plan.group_by) {
+          grouped |= g->kind == BKind::kSlot && g->slot == b->base + pk;
+        }
+        pk_grouped &= grouped;
+      }
+      if (pk_grouped) return Status::OK();
+      return Status::InvalidArgument(
+          "column " + b->schema->columns()[e.slot - b->base].name +
+          " must appear in the GROUP BY clause or be used in an aggregate "
+          "function");
+    }
+    // A subquery's own columns were checked when it compiled; only its
+    // probe operand (children) reads this query's row.
+    for (const BoundExprPtr& c : e.children) {
+      OLXP_RETURN_NOT_OK(CheckGrouped(*c, plan, scope));
+    }
+    return Status::OK();
+  }
+
   static int StepForSlot(const BoundSelect& plan, int max_slot) {
     if (max_slot < 0) return 0;
     for (size_t i = 0; i < plan.steps.size(); ++i) {
@@ -577,7 +630,6 @@ class Compiler {
       case ExprKind::kParam:
         out->kind = BKind::kParam;
         out->param_index = e.param_index;
-        max_param_ = std::max(max_param_, e.param_index);
         return out;
       case ExprKind::kColumnRef: {
         int slot = -1;
@@ -709,7 +761,6 @@ class Compiler {
   }
 
   const Catalog& catalog_;
-  int max_param_ = -1;
   int num_subqueries_ = 0;
 };
 
@@ -1447,8 +1498,6 @@ bool CompiledStatement::IsPointRead() const {
          impl_->select->steps[0].path == TableStep::Path::kPkPoint;
 }
 
-int CompiledStatement::ParamCount() const { return impl_->param_count; }
-
 StatusOr<std::unique_ptr<CompiledStatement>> Compile(const Statement& stmt,
                                                      const Catalog& catalog) {
   Compiler compiler(catalog);
@@ -1516,16 +1565,6 @@ StatusOr<ResultSet> Execute(const CompiledStatement& stmt,
     }
   }
   return Status::Internal("bad statement kind");
-}
-
-StatusOr<ResultSet> ExecuteSql(std::string_view sql,
-                               std::span<const Value> params,
-                               StorageIface* storage) {
-  auto stmt = Parse(sql);
-  if (!stmt.ok()) return stmt.status();
-  auto compiled = Compile(*stmt, *storage);
-  if (!compiled.ok()) return compiled.status();
-  return Execute(**compiled, params, storage);
 }
 
 }  // namespace olxp::sql

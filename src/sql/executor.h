@@ -34,9 +34,6 @@ class CompiledStatement {
   /// "analytical shape" the engine treats specially inside transactions.
   bool IsAnalyticalShape() const;
 
-  /// Number of '?' parameters expected.
-  int ParamCount() const;
-
   /// Bound plan (defined in sql/bound_plan.h); public so the compiler and
   /// executor free functions construct/consume it and so the vectorized
   /// engine in src/exec/ can lower analytical shapes onto column vectors.
@@ -60,12 +57,6 @@ StatusOr<ResultSet> Execute(const CompiledStatement& stmt,
                             std::span<const Value> params,
                             StorageIface* storage,
                             obs::QueryTrace* trace = nullptr);
-
-/// One-shot convenience: parse + compile + execute (used by DDL, loaders
-/// and tests; hot paths go through Session's prepared-statement cache).
-StatusOr<ResultSet> ExecuteSql(std::string_view sql,
-                               std::span<const Value> params,
-                               StorageIface* storage);
 
 }  // namespace olxp::sql
 

@@ -23,11 +23,13 @@ class Catalog {
   virtual const storage::TableSchema& GetSchema(int table_id) const = 0;
 };
 
-/// Data-plane interface the executor runs against. The engine implements it
-/// twice per session: routed to the transactional row store (possibly inside
-/// an open transaction) or to the columnar replica snapshot. All access
-/// costs (rows visited, seeks) are accounted by the implementation so the
-/// latency model can charge them.
+/// Data-plane interface the row-store interpreter runs against. The engine
+/// implements it once (TxnStorage, engine/session.cc): the transactional
+/// row store, read and written through the statement's transaction (an
+/// open explicit one, or the session's auto-commit wrapper). The columnar
+/// replica does not implement it; its engine (src/exec/) reads
+/// ColumnTable directly. All access costs (rows visited, seeks) are
+/// accounted by the implementation so the latency model can charge them.
 class StorageIface : public Catalog {
  public:
   using RowCallback = std::function<bool(const Row&)>;
@@ -67,10 +69,6 @@ struct ResultSet {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
   int64_t affected_rows = 0;
-
-  /// Single-cell helpers for the common benchmark pattern
-  /// "SELECT <aggregate> ..." — asserts shape in debug builds.
-  const Value& ScalarAt(size_t r, size_t c) const { return rows[r][c]; }
   bool empty() const { return rows.empty(); }
 };
 

@@ -36,8 +36,7 @@ size_t BoxedBytes(const Value& v) {
 }  // namespace
 
 EncodedColumn EncodedColumn::Encode(const std::vector<Value>& vals,
-                                    ValueType decl, const uint8_t* live,
-                                    bool encode) {
+                                    ValueType decl, const uint8_t* live) {
   EncodedColumn c;
   c.type_ = decl;
   c.rows_ = vals.size();
@@ -71,7 +70,7 @@ EncodedColumn EncodedColumn::Encode(const std::vector<Value>& vals,
 
   // Entirely null/dead: one RLE run of zeroes regardless of declared type
   // (every slot reads back NULL through the bitmap).
-  if (encode && live_vals == 0 && n > 0) {
+  if (live_vals == 0 && n > 0) {
     c.enc_ = Enc::kRle;
     c.runs_ = {RleRun{0, 0}};
     c.encoded_bytes_ = sizeof(RleRun) + c.nulls_.size();
@@ -80,14 +79,27 @@ EncodedColumn EncodedColumn::Encode(const std::vector<Value>& vals,
 
   const bool int_family =
       decl == ValueType::kInt || decl == ValueType::kTimestamp;
-  const bool encodable =
+  bool encodable =
       matches_decl &&
       (int_family || decl == ValueType::kDouble || decl == ValueType::kString);
-  if (!encode || !encodable) {
+
+  // Sorted string dictionary: code order == lexicographic order, so range
+  // predicates can compare codes directly. Overflowing kDictMax distinct
+  // values falls back to raw.
+  std::vector<std::string> dict;
+  if (encodable && decl == ValueType::kString) {
+    dict.reserve(64);
+    for (size_t i = 0; i < n; ++i) {
+      if (!c.null_at(i)) dict.push_back(vals[i].AsString());
+    }
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    encodable = dict.size() <= kDictMax;
+  }
+
+  if (!encodable) {
     // Raw fallback: boxed values, dead slots nulled so their payloads
-    // (e.g. strings) are dropped on re-encode. Slot layout is identical
-    // to the pre-block storage, which is what the raw/encoded parity
-    // sweep relies on.
+    // (e.g. strings) are dropped on re-encode.
     c.enc_ = Enc::kRaw;
     c.raw_.reserve(n);
     size_t bytes = 0;
@@ -110,27 +122,6 @@ EncodedColumn EncodedColumn::Encode(const std::vector<Value>& vals,
   }
 
   if (decl == ValueType::kString) {
-    // Sorted dictionary: code order == lexicographic order, so range
-    // predicates can compare codes directly. Overflowing kDictMax
-    // distinct values falls back to raw.
-    std::vector<std::string> dict;
-    dict.reserve(64);
-    for (size_t i = 0; i < n; ++i) {
-      if (!c.null_at(i)) dict.push_back(vals[i].AsString());
-    }
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-    if (dict.size() > kDictMax) {
-      c.enc_ = Enc::kRaw;
-      c.raw_.reserve(n);
-      size_t bytes = 0;
-      for (size_t i = 0; i < n; ++i) {
-        c.raw_.push_back(c.null_at(i) ? Value::Null() : vals[i]);
-        bytes += BoxedBytes(c.raw_.back());
-      }
-      c.encoded_bytes_ = bytes + c.nulls_.size();
-      return c;
-    }
     c.enc_ = Enc::kDict;
     c.dict_ = std::move(dict);
     c.codes_.resize(n, 0);

@@ -75,7 +75,7 @@ inline size_t RleRunIndex(const RleRun* runs, size_t num_runs, size_t i) {
 /// replaces the whole object under the table's writer latch.
 ///
 /// Encodings (selected per block per column at seal time):
-///   kRaw      boxed Values — mixed-type columns or when encoding is off
+///   kRaw      boxed Values — mixed-type columns or dictionary overflow
 ///   kFlatInt  plain int64 array (ints/timestamps with no cheaper form)
 ///   kFlatDbl  plain double array
 ///   kDict     sorted string dictionary + uint32 codes; code order equals
@@ -93,10 +93,9 @@ class EncodedColumn {
   /// Encodes `vals` (one block's worth of one column). `live`, when
   /// non-null, marks dead slots (0 = dead) that are stored as NULL
   /// placeholders — they are never read (LiveRows filters them) but keep
-  /// slot positions stable. `encode` false keeps boxed kRaw storage with
-  /// zone maps still computed, so raw and encoded tables skip identically.
+  /// slot positions stable.
   static EncodedColumn Encode(const std::vector<Value>& vals, ValueType decl,
-                              const uint8_t* live, bool encode);
+                              const uint8_t* live);
 
   /// Boxed value at slot `i` (NULL for null/dead slots). Positional,
   /// decode-on-read; the vectorized kernels use the flat arrays instead.

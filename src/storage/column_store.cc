@@ -24,8 +24,7 @@ size_t BoxedColumnBytes(const std::vector<Value>& col) {
 
 }  // namespace
 
-ColumnTable::ColumnTable(TableSchema schema, bool encode)
-    : schema_(std::move(schema)), encode_(encode) {
+ColumnTable::ColumnTable(TableSchema schema) : schema_(std::move(schema)) {
   sync::WriterLock lk(mu_);
   tail_cols_.resize(schema_.num_columns());
 }
@@ -37,7 +36,7 @@ void ColumnTable::SealTailLocked() {
   blk.cols.reserve(tail_cols_.size());
   for (size_t c = 0; c < tail_cols_.size(); ++c) {
     blk.cols.push_back(EncodedColumn::Encode(
-        tail_cols_[c], schema_.columns()[c].type, nullptr, encode_));
+        tail_cols_[c], schema_.columns()[c].type, nullptr));
   }
   blk.live_count = kBlockSlots;
   blk.RebuildSpans();
@@ -51,8 +50,7 @@ void ColumnTable::ReencodeBlockLocked(size_t b) {
   const uint8_t* lv = live_.data() + b * kBlockSlots;
   for (size_t c = 0; c < blk.cols.size(); ++c) {
     std::vector<Value> vals = blk.cols[c].Materialize();
-    blk.cols[c] = EncodedColumn::Encode(vals, schema_.columns()[c].type, lv,
-                                        encode_);
+    blk.cols[c] = EncodedColumn::Encode(vals, schema_.columns()[c].type, lv);
   }
   blk.RebuildSpans();
   blk.dead_since_encode = 0;
@@ -257,9 +255,8 @@ std::vector<EncodedColumn::Enc> ColumnTable::BlockEncodings(
   return encs;
 }
 
-void ColumnStore::AddTable(int table_id, TableSchema schema, bool encode) {
-  tables_[table_id] =
-      std::make_unique<ColumnTable>(std::move(schema), encode);
+void ColumnStore::AddTable(int table_id, TableSchema schema) {
+  tables_[table_id] = std::make_unique<ColumnTable>(std::move(schema));
 }
 
 ColumnTable* ColumnStore::table(int table_id) {

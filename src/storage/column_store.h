@@ -88,10 +88,7 @@ struct ColumnChunkView {
 /// TiFlash's role: analytical scans run here and take no row-store locks.
 class ColumnTable {
  public:
-  /// `encode` false keeps sealed blocks as boxed raw values (slot layout
-  /// and scan results identical to encoded mode — zone maps are still
-  /// built); the parity sweep runs both.
-  explicit ColumnTable(TableSchema schema, bool encode = true);
+  explicit ColumnTable(TableSchema schema);
 
   ColumnTable(const ColumnTable&) = delete;
   ColumnTable& operator=(const ColumnTable&) = delete;
@@ -193,7 +190,6 @@ class ColumnTable {
       REQUIRES_SHARED(mu_);
 
   TableSchema schema_;
-  const bool encode_;
   mutable sync::SharedMutex mu_{sync::LockRank::kTableLatch, "column.table"};
   std::vector<ColumnBlock> blocks_ GUARDED_BY(mu_);
   size_t sealed_slots_ GUARDED_BY(mu_) = 0;  // == blocks_.size()*kBlockSlots
@@ -209,9 +205,8 @@ class ColumnTable {
 /// The set of columnar replicas plus the replication watermark.
 class ColumnStore {
  public:
-  /// Registers a replica for `table_id` with the given schema. `encode`
-  /// false pins the replica to boxed raw blocks (parity testing).
-  void AddTable(int table_id, TableSchema schema, bool encode = true);
+  /// Registers a replica for `table_id` with the given schema.
+  void AddTable(int table_id, TableSchema schema);
 
   ColumnTable* table(int table_id);
   const ColumnTable* table(int table_id) const;

@@ -27,6 +27,7 @@ std::optional<Row> MvccTable::Get(const Row& pk, uint64_t snapshot_ts) const {
 
 Status MvccTable::InstallVersion(const Row& pk, uint64_t commit_ts,
                                  bool deleted, Row data) {
+  sync::MutexLock gate(gate_);
   sync::WriterLock lk(mu_);
   const TableSchema& sch = schema();
   if (index_entries_.size() != sch.indexes().size()) {
@@ -65,20 +66,21 @@ Status MvccTable::InstallVersion(const Row& pk, uint64_t commit_ts,
 }
 
 int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
-  const size_t chunk = scan_chunk_rows_.load(std::memory_order_relaxed);
   int64_t visited = 0;
   bool stopped = false;
   Row resume;
   bool has_resume = false;
   // Chunked latch-dropping sweep (same pattern as ForEachCommitted): the
-  // shared lock covers at most `chunk` rows at a time, so InstallVersion
-  // never waits behind a whole-table analytical scan. Per-key snapshot
-  // visibility keeps the merged result consistent across the gaps.
+  // shared lock covers at most kScanChunkRows rows at a time, so
+  // InstallVersion never waits behind a whole-table analytical scan.
+  // Per-key snapshot visibility keeps the merged result consistent across
+  // the gaps.
   while (!stopped) {
+    { sync::MutexLock gate(gate_); }  // behind any waiting writer
     sync::ReaderLock lk(mu_);
     auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
     size_t n = 0;
-    for (; it != rows_.end() && (chunk == 0 || n < chunk); ++it, ++n) {
+    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
       ++visited;
       const Version* v = VisibleVersion(it->second, snapshot_ts);
       if (v == nullptr || v->deleted) continue;
@@ -99,16 +101,16 @@ int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
 int64_t MvccTable::ScanPkRange(const Row& lo, const Row& hi,
                                uint64_t snapshot_ts,
                                const RowCallback& cb) const {
-  const size_t chunk = scan_chunk_rows_.load(std::memory_order_relaxed);
   int64_t visited = 0;
   bool stopped = false;
   Row resume;
   bool has_resume = false;
   while (!stopped) {
+    { sync::MutexLock gate(gate_); }  // behind any waiting writer
     sync::ReaderLock lk(mu_);
     auto it = has_resume ? rows_.lower_bound(resume) : rows_.lower_bound(lo);
     size_t n = 0;
-    for (; it != rows_.end() && (chunk == 0 || n < chunk); ++it, ++n) {
+    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
       // Stop once past `hi`; prefix keys compare less than any extension,
       // so test hi < prefix(pk, hi.size()) — in place, no per-row copy.
       const Row& pk = it->first;
@@ -166,6 +168,7 @@ int64_t MvccTable::IndexLookup(int index_id, const Row& key,
 }
 
 Status MvccTable::AddIndex(IndexDef def) {
+  sync::MutexLock gate(gate_);
   sync::WriterLock lk(mu_);
   // Copy-on-write: never mutate the published snapshot in place — lock-free
   // schema() readers may be walking it right now. Build the successor,
@@ -194,14 +197,14 @@ void MvccTable::ForEachCommitted(
   // committer's InstallVersion for the duration. Dropping the lock between
   // chunks is safe because visibility is by snapshot_ts — rows installed
   // in between carry newer timestamps and stay invisible to this pass.
-  constexpr size_t kChunkRows = 1024;
   Row resume;
   bool has_resume = false;
   for (;;) {
+    { sync::MutexLock gate(gate_); }  // behind any waiting writer
     sync::ReaderLock lk(mu_);
     auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
     size_t n = 0;
-    for (; it != rows_.end() && n < kChunkRows; ++it, ++n) {
+    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
       const Version* v = VisibleVersion(it->second, snapshot_ts);
       if (v == nullptr || v->deleted) continue;
       if (!cb(it->first, v->commit_ts, v->data)) return;
@@ -253,6 +256,7 @@ VacuumStats MvccTable::VacuumBelow(uint64_t watermark, size_t batch_rows) {
   std::vector<Row> erased_keys;
   std::vector<Row> survivor_keys;
   for (;;) {
+    sync::MutexLock gate(gate_);
     sync::WriterLock lk(mu_);
     auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
     size_t n = 0;

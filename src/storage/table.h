@@ -23,6 +23,12 @@ struct Version {
   Row data;
 };
 
+/// Rows a shared-latch scan chunk visits before the latch drops, so
+/// committers interleave with a long sweep (the §V-B interference path: a
+/// whole-sweep latch hold would stall every InstallVersion behind an
+/// analytical scan).
+inline constexpr size_t kScanChunkRows = 1024;
+
 /// Reclamation counts of one vacuum sweep over a table (accumulated into
 /// pass/total stats by storage::Vacuum).
 struct VacuumStats {
@@ -51,11 +57,15 @@ using RowCallback = std::function<bool(const Row&)>;
 /// version installs take it exclusively (short critical section), reads and
 /// scans take it shared. Version chains are only appended under the
 /// exclusive lock, so shared-lock readers can safely walk them. Scans are
-/// chunked (see scan_chunk_rows): the shared lock drops every chunk so a
+/// chunked (kScanChunkRows): the shared lock drops every chunk so a
 /// multi-second analytical sweep never blocks committers for its whole
 /// duration — per-key MVCC visibility keeps the result a consistent
 /// snapshot anyway (rows installed between chunks carry newer timestamps;
 /// rows vacuumed between chunks were invisible at any registered snapshot).
+/// A writer waits for at most the chunk each running scan is in: writers
+/// take the table's gate before the latch, and a scan passes the gate
+/// before each chunk, so scans that keep overlapping cannot hold a waiting
+/// writer off indefinitely (the shared latch may prefer readers).
 class MvccTable {
  public:
   MvccTable(int table_id, TableSchema schema) : table_id_(table_id) {
@@ -146,16 +156,6 @@ class MvccTable {
   /// Total secondary-index entries across all indexes (stale included).
   size_t IndexEntryCount() const;
 
-  /// Rows each shared-lock scan chunk visits before dropping the table
-  /// latch (0 = hold the latch for the whole sweep — the pre-chunking
-  /// behaviour, kept for the fig1/fig4 before/after ablation).
-  void set_scan_chunk_rows(size_t rows) {
-    scan_chunk_rows_.store(rows, std::memory_order_relaxed);
-  }
-  size_t scan_chunk_rows() const {
-    return scan_chunk_rows_.load(std::memory_order_relaxed);
-  }
-
   /// Cumulative count of rows visited by scans (interference metric).
   uint64_t rows_scanned() const {
     return rows_scanned_.load(std::memory_order_relaxed);
@@ -189,6 +189,9 @@ class MvccTable {
   /// All table latches share one rank: the executor pins one table per
   /// scan and never acquires another table's latch inside a scan callback.
   mutable sync::SharedMutex mu_{sync::LockRank::kTableLatch, "mvcc.table"};
+  /// Writers hold it while they take and hold mu_ exclusively; chunked
+  /// scans pass it (lock, unlock) before each chunk's shared hold.
+  mutable sync::Mutex gate_{sync::LockRank::kTableGate, "mvcc.table.gate"};
   /// Every schema snapshot ever published, oldest first; the newest is the
   /// one schema() serves. Grows only on AddIndex (bounded by DDL count), so
   /// retaining the history keeps old references valid forever instead of
@@ -203,7 +206,6 @@ class MvccTable {
   std::vector<std::multimap<Row, Row, KeyLess>> index_entries_
       GUARDED_BY(mu_);
 
-  std::atomic<size_t> scan_chunk_rows_{1024};
   mutable std::atomic<uint64_t> rows_scanned_{0};
   std::atomic<int> active_scans_{0};
 };

@@ -150,7 +150,6 @@ TEST(SuiteRouting, EverySuiteQueryRunsVectorizedOnTheReplica) {
     BenchmarkSuite suite = make();
     auto profile = engine::EngineProfile::TiDbLike();
     profile.olap_row_fraction = 0.0;
-    profile.cost_based_routing = false;
     engine::Database db(profile);
     ASSERT_TRUE(benchfw::SetUp(db, suite).ok());
     db.WaitReplicaCaughtUp();

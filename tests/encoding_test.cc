@@ -2,11 +2,12 @@
 // column_block.*): every encoding must round-trip the exact boxed values
 // it was built from, the selection heuristics must pick the promised
 // encoding at each edge, and zone-map skipping must agree with a brute-
-// force scan — in both encoded and raw storage modes.
+// force scan, whichever encoding (or the raw fallback) a block holds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,10 +27,8 @@ namespace {
 using Enc = EncodedColumn::Enc;
 
 /// Encodes `vals` as an INT column and checks positional round-trip.
-EncodedColumn EncodeInts(const std::vector<Value>& vals,
-                         bool encode = true) {
-  return EncodedColumn::Encode(vals, ValueType::kInt, /*live=*/nullptr,
-                               encode);
+EncodedColumn EncodeInts(const std::vector<Value>& vals) {
+  return EncodedColumn::Encode(vals, ValueType::kInt, /*live=*/nullptr);
 }
 
 void ExpectRoundTrip(const EncodedColumn& col,
@@ -121,7 +120,7 @@ TEST(Encoding, SmallStringDomainDictionarizesSorted) {
     vals.push_back(Value::String(tags[i % 5]));
   }
   EncodedColumn col =
-      EncodedColumn::Encode(vals, ValueType::kString, nullptr, true);
+      EncodedColumn::Encode(vals, ValueType::kString, nullptr);
   ASSERT_EQ(col.enc(), Enc::kDict);
   ASSERT_EQ(col.dict_size(), 5u);
   // Code order equals lexicographic order (range predicates compare codes).
@@ -135,14 +134,19 @@ TEST(Encoding, SmallStringDomainDictionarizesSorted) {
 
 TEST(Encoding, DictionaryOverflowFallsBackToRaw) {
   // More distinct strings than kDictMax: codes would stop paying for the
-  // dictionary, so the column stays boxed raw.
+  // dictionary, so the column stays boxed raw — with its zone map built
+  // all the same, so a raw block skips like an encoded one.
   std::vector<Value> vals;
   for (size_t i = 0; i < EncodedColumn::kDictMax + 1; ++i) {
     vals.push_back(Value::String("key_" + std::to_string(1000000 + i)));
   }
   EncodedColumn col =
-      EncodedColumn::Encode(vals, ValueType::kString, nullptr, true);
+      EncodedColumn::Encode(vals, ValueType::kString, nullptr);
   EXPECT_EQ(col.enc(), Enc::kRaw);
+  EXPECT_EQ(col.zone_min(), Value::String("key_1000000"));
+  EXPECT_EQ(col.zone_max(),
+            Value::String("key_" +
+                          std::to_string(1000000 + EncodedColumn::kDictMax)));
   ExpectRoundTrip(col, vals);
 }
 
@@ -153,7 +157,7 @@ TEST(Encoding, DoublesStayFlatAndMixedTypesStayRaw) {
     dbls.push_back(Value::Double(rng.Uniform(0.0, 1.0)));
   }
   EncodedColumn d =
-      EncodedColumn::Encode(dbls, ValueType::kDouble, nullptr, true);
+      EncodedColumn::Encode(dbls, ValueType::kDouble, nullptr);
   EXPECT_EQ(d.enc(), Enc::kFlatDbl);
   ExpectRoundTrip(d, dbls);
 
@@ -163,6 +167,8 @@ TEST(Encoding, DoublesStayFlatAndMixedTypesStayRaw) {
   mixed[100] = Value::Double(7.5);
   EncodedColumn m = EncodeInts(mixed);
   EXPECT_EQ(m.enc(), Enc::kRaw);
+  EXPECT_EQ(m.zone_min(), Value::Int(7));
+  EXPECT_EQ(m.zone_max(), Value::Double(7.5));
   ExpectRoundTrip(m, mixed);
 }
 
@@ -183,15 +189,6 @@ TEST(Encoding, NullsRoundTripAndZonesIgnoreThem) {
   EncodedColumn n = EncodeInts(all_null);
   EXPECT_TRUE(n.zone_min().is_null());
   ExpectRoundTrip(n, all_null);
-}
-
-TEST(Encoding, EncodeOffKeepsRawButStillBuildsZones) {
-  std::vector<Value> vals(kBlockSlots, Value::Int(5));
-  EncodedColumn col = EncodeInts(vals, /*encode=*/false);
-  EXPECT_EQ(col.enc(), Enc::kRaw);
-  EXPECT_EQ(col.zone_min(), Value::Int(5));
-  EXPECT_EQ(col.zone_max(), Value::Int(5));
-  ExpectRoundTrip(col, vals);
 }
 
 TEST(Encoding, RandomIntsRoundTripAtEveryWidth) {
@@ -295,50 +292,36 @@ size_t LiveRowsRead(const ColumnTable& t, std::span<const ZonePred> preds) {
   return pin.LiveRowsRead(pin.ComputeSkipMask(preds));
 }
 
-TEST(ColumnBlocks, SealedTablesAgreeAcrossRawAndEncoded) {
-  ColumnTable enc(KvSchema(), /*encode=*/true);
-  ColumnTable raw(KvSchema(), /*encode=*/false);
+TEST(ColumnBlocks, SealedTablesReadBackTheAppliedRows) {
+  ColumnTable t(KvSchema());
   const int64_t kRows = 3000;  // 2 sealed blocks + tail
-  for (int64_t k = 0; k < kRows; ++k) {
-    enc.Apply(Upsert(k));
-    raw.Apply(Upsert(k));
-  }
-  ASSERT_EQ(enc.SealedBlockCount(), 2u);
-  ASSERT_EQ(raw.SealedBlockCount(), 2u);
-  // Raw mode must not compress...
-  for (Enc e : raw.BlockEncodings(0)) EXPECT_EQ(e, Enc::kRaw);
-  // ...while encoded mode must have found cheaper forms for every column
-  // (monotone k packs, k%50 packs or runs, the 2-string tag dictionarizes).
-  for (Enc e : enc.BlockEncodings(0)) EXPECT_NE(e, Enc::kRaw);
-  EXPECT_LT(enc.EncodedBytes(), raw.EncodedBytes());
-  EXPECT_EQ(enc.RawBytes(), raw.RawBytes());
+  for (int64_t k = 0; k < kRows; ++k) t.Apply(Upsert(k));
+  ASSERT_EQ(t.SealedBlockCount(), 2u);
+  // Every column found a cheaper form than boxed values (monotone k packs,
+  // k%50 packs or runs, the 2-string tag dictionarizes).
+  for (Enc e : t.BlockEncodings(0)) EXPECT_NE(e, Enc::kRaw);
+  EXPECT_LT(t.EncodedBytes(), t.RawBytes());
 
-  // Every read surface agrees slot-for-slot.
+  // Every read surface returns exactly the rows applied, the scan in slot
+  // order (slot == k: no deletes freed a slot).
   for (int64_t k = 0; k < kRows; ++k) {
-    ASSERT_EQ(enc.Get({Value::Int(k)}), raw.Get({Value::Int(k)}));
+    ASSERT_EQ(t.Get({Value::Int(k)}), std::optional<Row>(Upsert(k).data));
   }
-  std::vector<Value> enc_cells;
-  std::vector<Value> raw_cells;
-  // Every live cell of a pinned table, chunk by chunk in slot order;
-  // returns the live rows visited.
-  auto collect = [](const ColumnTable& t, std::vector<Value>* out) {
-    ColumnTable::ScanPin pin(t);
-    int64_t visited = 0;
-    for (size_t base = 0; base < pin.total_slots();) {
-      const ColumnChunkView v = pin.Chunk(base, kBlockSlots);
-      for (size_t i = 0; i < v.rows; ++i) {
-        if (v.live[i] == 0) continue;
-        ++visited;
-        for (int c = 0; c < v.num_cols; ++c) {
-          out->push_back(v.value_at(c, i));
-        }
-      }
-      base += v.rows;
+  std::vector<Value> expected;
+  for (int64_t k = 0; k < kRows; ++k) {
+    for (const Value& v : Upsert(k).data) expected.push_back(v);
+  }
+  std::vector<Value> cells;
+  ColumnTable::ScanPin pin(t);
+  for (size_t base = 0; base < pin.total_slots();) {
+    const ColumnChunkView v = pin.Chunk(base, kBlockSlots);
+    for (size_t i = 0; i < v.rows; ++i) {
+      if (v.live[i] == 0) continue;
+      for (int c = 0; c < v.num_cols; ++c) cells.push_back(v.value_at(c, i));
     }
-    return visited;
-  };
-  EXPECT_EQ(collect(enc, &enc_cells), collect(raw, &raw_cells));
-  EXPECT_EQ(enc_cells, raw_cells);
+    base += v.rows;
+  }
+  EXPECT_EQ(cells, expected);
 }
 
 TEST(ColumnBlocks, SkipMaskMatchesBruteForceAndEstimates) {

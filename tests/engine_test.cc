@@ -173,9 +173,7 @@ TEST(Session, PreparedStatementsRebindAfterDdl) {
   // stale PlanShape, so the router kept costing the statement as a full
   // scan (and the executor kept the full-scan access path) forever. The
   // schema-version stamp must force a recompile on the next cache hit.
-  EngineProfile p = NoRowOlap(EngineProfile::TiDbLike());
-  p.cost_based_routing = true;
-  Database db(p);
+  Database db(NoRowOlap(EngineProfile::TiDbLike()));
   db.set_exec_threads(1);  // serial cost crossover, deterministic routing
   auto s = db.CreateSession();
   s->set_charging_enabled(false);

@@ -21,30 +21,28 @@ namespace {
 
 engine::EngineProfile TestProfile() {
   auto p = engine::EngineProfile::TiDbLike();
-  p.olap_row_fraction = 0.0;    // deterministic routing
-  p.cost_based_routing = false;  // parity tests pin execution to the replica
+  p.olap_row_fraction = 0.0;  // deterministic routing
   p.replication_lag_micros = 0;
   return p;
 }
 
-/// Runs `sql` on the row-store interpreter (the reference) and as a
-/// stand-alone statement at exec_threads 1, 2 and 8, asserting identical
-/// results everywhere: every thread count must match the row store, and the
-/// parallel runs must match the serial run row-for-row (morsel partials
-/// merge in scan order, so even "unordered" output order is reproduced
-/// exactly). The stand-alone runs must route to `route` (the vectorized
-/// replica unless the engine refuses the shape). `ordered` compares against
-/// the row store row-for-row; otherwise that comparison uses sorted
+/// Runs `sql` on the row-store interpreter (the reference) and on the
+/// replica's vectorized engine (ReplicaExecute: no router in between) at
+/// exec_threads 1, 2 and 8, asserting identical results everywhere: every
+/// thread count must match the row store, and the parallel runs must match
+/// the serial run row-for-row (morsel partials merge in scan order, so even
+/// "unordered" output order is reproduced exactly). `ordered` compares
+/// against the row store row-for-row; otherwise that comparison uses sorted
 /// multisets (hash-group output order is engine-dependent).
-void ExpectParity(
-    engine::Database& db, engine::Session& s, const std::string& sql,
-    std::initializer_list<Value> params = {}, bool ordered = false,
-    engine::RoutedStore route = engine::RoutedStore::kColumnStore) {
+void ExpectParity(engine::Database& db, engine::Session& s,
+                  const std::string& sql,
+                  std::initializer_list<Value> params = {},
+                  bool ordered = false) {
   SCOPED_TRACE(sql);
   const int orig_threads = db.profile().exec_threads;
+  const std::span<const Value> args(params.begin(), params.end());
 
-  auto interp = RowStoreExecute(
-      s, sql, std::span<const Value>(params.begin(), params.end()));
+  auto interp = RowStoreExecute(s, sql, args);
   ASSERT_TRUE(interp.ok()) << interp.status().ToString();
   EXPECT_EQ(s.last_route(), engine::RoutedStore::kRowStore);
   std::vector<std::string> b = Stringify(*interp);
@@ -54,9 +52,8 @@ void ExpectParity(
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("exec_threads=" + std::to_string(threads));
     db.set_exec_threads(threads);
-    auto vec = s.Execute(sql, params);
+    auto vec = ReplicaExecute(db, sql, args);
     ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    EXPECT_EQ(s.last_route(), route);
 
     EXPECT_EQ(vec->column_names, interp->column_names);
     std::vector<std::string> a = Stringify(*vec);
@@ -71,16 +68,13 @@ void ExpectParity(
   db.set_exec_threads(orig_threads);
 }
 
-/// Parameterized over EngineProfile::columnar_encoding: every parity shape
-/// runs once with sealed blocks compressed (dictionary/RLE/bit-packing)
-/// and once with boxed raw blocks, at each swept thread count — results
-/// must be bit-identical across the whole {raw, encoded} × {1, 2, 8} grid.
-class ExecParityTest : public ::testing::TestWithParam<bool> {
+/// The parity table: 2500 rows, so the replica holds two sealed (encoded)
+/// blocks and a boxed tail, and every shape reads both storage forms at
+/// each swept thread count.
+class ExecParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto p = TestProfile();
-    p.columnar_encoding = GetParam();
-    db_ = std::make_unique<engine::Database>(p);
+    db_ = std::make_unique<engine::Database>(TestProfile());
     s_ = db_->CreateSession();
     s_->set_charging_enabled(false);
     ASSERT_TRUE(s_->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT, "
@@ -88,7 +82,7 @@ class ExecParityTest : public ::testing::TestWithParam<bool> {
                     .ok());
     Rng rng(42);
     const char* tags[] = {"alpha", "beta", "gamma", "ab_x", "ab_y"};
-    for (int a = 1; a <= 997; ++a) {
+    for (int a = 1; a <= 2500; ++a) {
       std::vector<Value> row;
       row.push_back(Value::Int(a));
       // NULLs sprinkled through every non-key column.
@@ -104,19 +98,16 @@ class ExecParityTest : public ::testing::TestWithParam<bool> {
       ASSERT_TRUE(st.ok()) << st.status().ToString();
     }
     db_->WaitReplicaCaughtUp();
+    auto tid = db_->TableId("t");
+    ASSERT_TRUE(tid.ok());
+    ASSERT_GE(db_->column_store().table(*tid)->SealedBlockCount(), 2u);
   }
 
   std::unique_ptr<engine::Database> db_;
   std::unique_ptr<engine::Session> s_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, ExecParityTest, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& info) {
-      return info.param ? std::string("Encoded") : std::string("Raw");
-    });
-
-TEST_P(ExecParityTest, FiltersAndProjections) {
+TEST_F(ExecParityTest, FiltersAndProjections) {
   ExpectParity(*db_, *s_, "SELECT * FROM t WHERE b > 500");
   ExpectParity(*db_, *s_, "SELECT a, b FROM t WHERE b BETWEEN 100 AND 300 "
                           "AND c < 0.5");
@@ -138,7 +129,7 @@ TEST_P(ExecParityTest, FiltersAndProjections) {
                {Value::Int(250)});
 }
 
-TEST_P(ExecParityTest, Aggregates) {
+TEST_F(ExecParityTest, Aggregates) {
   ExpectParity(*db_, *s_, "SELECT COUNT(*) FROM t");
   ExpectParity(*db_, *s_,
                "SELECT COUNT(*), COUNT(b), SUM(b), AVG(c), MIN(b), MAX(c), "
@@ -149,7 +140,7 @@ TEST_P(ExecParityTest, Aggregates) {
   ExpectParity(*db_, *s_, "SELECT SUM(b), COUNT(*) FROM t WHERE b > 100000");
 }
 
-TEST_P(ExecParityTest, GroupByHavingOrderLimit) {
+TEST_F(ExecParityTest, GroupByHavingOrderLimit) {
   ExpectParity(*db_, *s_, "SELECT d, COUNT(*), SUM(b) FROM t GROUP BY d "
                           "ORDER BY d", {}, /*ordered=*/true);
   ExpectParity(*db_, *s_, "SELECT e, AVG(b) FROM t GROUP BY e "
@@ -166,7 +157,7 @@ TEST_P(ExecParityTest, GroupByHavingOrderLimit) {
                /*ordered=*/true);
 }
 
-TEST_P(ExecParityTest, PostDeleteSlotReuseParity) {
+TEST_F(ExecParityTest, PostDeleteSlotReuseParity) {
   // Delete a third of the rows, then insert fresh keys that recycle the
   // freed column-store slots; the vectorized scan must skip dead slots and
   // see recycled ones exactly like the interpreter.
@@ -174,9 +165,9 @@ TEST_P(ExecParityTest, PostDeleteSlotReuseParity) {
   db_->WaitReplicaCaughtUp();
   ExpectParity(*db_, *s_, "SELECT COUNT(*), SUM(b), MIN(a), MAX(a) FROM t");
 
-  for (int a = 2000; a < 2200; ++a) {
+  for (int a = 5000; a < 5200; ++a) {
     ASSERT_TRUE(s_->Execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)",
-                            {Value::Int(a), Value::Int(a - 2000),
+                            {Value::Int(a), Value::Int(a - 5000),
                              Value::Double(0.25), Value::String("reused"),
                              Value::Int(a % 7)})
                     .ok());
@@ -192,7 +183,7 @@ int64_t ReplicaUnsupported(engine::Database& db) {
   return db.metrics().GetCounter("router.replica_unsupported_to_row")->Value();
 }
 
-TEST_P(ExecParityTest, UnsupportedShapesFallBackToInterpreter) {
+TEST_F(ExecParityTest, UnsupportedShapesFallBackToInterpreter) {
   ASSERT_TRUE(s_->Execute("CREATE TABLE u (k INT PRIMARY KEY, v INT)").ok());
   ASSERT_TRUE(s_->Execute("INSERT INTO u VALUES (1, 10), (2, 20)").ok());
   db_->WaitReplicaCaughtUp();
@@ -223,17 +214,29 @@ TEST_P(ExecParityTest, UnsupportedShapesFallBackToInterpreter) {
   EXPECT_EQ(ReplicaUnsupported(*db_), refused + 1);
 }
 
-TEST_P(ExecParityTest, MixedTypeCaseFallsBackToInterpreter) {
+TEST_F(ExecParityTest, MixedTypeCaseFallsBackToInterpreter) {
   // CASE branches with different payload families (INT column vs DOUBLE
   // column) must not be promoted to one vector type: the interpreter
   // returns each row with its picked branch's own type, so the vectorized
   // engine refuses the chunk and the statement re-runs on the row store.
-  const int64_t refused = ReplicaUnsupported(*db_);
-  ExpectParity(*db_, *s_,
-               "SELECT a, CASE WHEN e > 3 THEN b ELSE c END FROM t "
-               "WHERE b IS NOT NULL AND c IS NOT NULL",
-               {}, /*ordered=*/false, engine::RoutedStore::kRowStore);
-  EXPECT_EQ(ReplicaUnsupported(*db_), refused + 3);  // one per thread count
+  const std::string q =
+      "SELECT a, CASE WHEN e > 3 THEN b ELSE c END FROM t "
+      "WHERE b IS NOT NULL AND c IS NOT NULL";
+  auto interp = RowStoreExecute(*s_, q);
+  ASSERT_TRUE(interp.ok()) << interp.status().ToString();
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("exec_threads=" + std::to_string(threads));
+    db_->set_exec_threads(threads);
+    auto vec = ReplicaExecute(*db_, q);
+    ASSERT_FALSE(vec.ok());
+    EXPECT_EQ(vec.status().code(), StatusCode::kUnsupported);
+    const int64_t refused = ReplicaUnsupported(*db_);
+    auto routed = s_->Execute(q);
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_EQ(s_->last_route(), engine::RoutedStore::kRowStore);
+    EXPECT_EQ(ReplicaUnsupported(*db_), refused + 1);
+    EXPECT_EQ(Stringify(*routed), Stringify(*interp));
+  }
 }
 
 /// Subquery table for the subquery cases: NULLs in `v`, and values that do
@@ -246,7 +249,7 @@ void CreateSubqueryTable(engine::Database& db, engine::Session& s) {
   db.WaitReplicaCaughtUp();
 }
 
-TEST_P(ExecParityTest, UncorrelatedSubqueries) {
+TEST_F(ExecParityTest, UncorrelatedSubqueries) {
   CreateSubqueryTable(*db_, *s_);
   // Scalar subqueries in a filter (statement parameters reach the
   // subquery too).
@@ -288,7 +291,7 @@ TEST_P(ExecParityTest, UncorrelatedSubqueries) {
   EXPECT_EQ(ReplicaUnsupported(*db_), 0);
 }
 
-TEST_P(ExecParityTest, MultiRowScalarSubqueryIsRejectedOnBothStores) {
+TEST_F(ExecParityTest, MultiRowScalarSubqueryIsRejectedOnBothStores) {
   CreateSubqueryTable(*db_, *s_);
   // More than one row has no single value; taking the first would make the
   // answer depend on the store's scan order. The replica rejects it (the
@@ -356,7 +359,7 @@ TEST(ExecParityChunks, CrossChunkCaseTypeFlipKeepsMinMaxExact) {
                {}, /*ordered=*/true);
 }
 
-TEST_P(ExecParityTest, StringPredicateRunsOnReplica) {
+TEST_F(ExecParityTest, StringPredicateRunsOnReplica) {
   // A bare string-typed WHERE conjunct is false on every row, on the
   // replica as on the row store.
   const int64_t refused = ReplicaUnsupported(*db_);
@@ -367,7 +370,7 @@ TEST_P(ExecParityTest, StringPredicateRunsOnReplica) {
   EXPECT_EQ(ReplicaUnsupported(*db_), refused);
 }
 
-TEST_P(ExecParityTest, NegationOfStringIsRejectedOnBothStores) {
+TEST_F(ExecParityTest, NegationOfStringIsRejectedOnBothStores) {
   auto col = s_->Execute("SELECT -d FROM t");
   ASSERT_FALSE(col.ok());
   EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
@@ -376,7 +379,7 @@ TEST_P(ExecParityTest, NegationOfStringIsRejectedOnBothStores) {
   EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_P(ExecParityTest, OperandPairsFollowOneScalarSemantics) {
+TEST_F(ExecParityTest, OperandPairsFollowOneScalarSemantics) {
   // Every pair (x, y) of the INT edge values, each beside a DOUBLE f of
   // 0.0 or 2.5; the 36 pairs repeat past one sealed block so both the
   // encoded and the raw column forms sit under the kernels.
@@ -410,9 +413,9 @@ TEST_P(ExecParityTest, OperandPairsFollowOneScalarSemantics) {
 
   // The spec, independent of either executor: overflow, x / 0 and x % 0
   // are NULL; x % -1 is 0 even for INT64_MIN; division is DOUBLE.
-  auto rs = s_->Execute(std::string(kArith) + " WHERE k < 36 ORDER BY k");
+  auto rs = ReplicaExecute(*db_, std::string(kArith) +
+                                     " WHERE k < 36 ORDER BY k");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
   ASSERT_EQ(rs->rows.size(), 36u);
   const auto cell = [&](int x, int y, int col) {
     return rs->rows[x * 6 + y][col].ToString();
@@ -436,7 +439,7 @@ TEST_P(ExecParityTest, OperandPairsFollowOneScalarSemantics) {
   EXPECT_EQ(cell(kZero, kMinus1, 9), "NULL");   // 0 / 0.0 (f = 0.0 at even k)
 }
 
-TEST_P(ExecParityTest, SnapshotWatermarkIsReported) {
+TEST_F(ExecParityTest, SnapshotWatermarkIsReported) {
   auto rs = s_->Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(s_->last_route(), engine::RoutedStore::kColumnStore);
@@ -446,18 +449,60 @@ TEST_P(ExecParityTest, SnapshotWatermarkIsReported) {
   EXPECT_GT(s_->last_snapshot_ts(), 0u);
 }
 
+/// A column that is neither grouped nor determined by a grouped primary
+/// key has no single value per group. Taking the group's first row made
+/// the answer depend on scan order: pk order on the row store, slot order
+/// on the replica, where freed tail slots are reused.
+TEST(GroupingRule, NonGroupedColumnIsRejectedOnBothStores) {
+  engine::Database db(TestProfile());
+  auto s = db.CreateSession();
+  s->set_charging_enabled(false);
+  ASSERT_TRUE(
+      s->Execute("CREATE TABLE t (k INT PRIMARY KEY, g INT, v INT)").ok());
+  for (int k = 0; k < 300; ++k) {
+    ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (?, ?, ?)",
+                           {Value::Int(k), Value::Int(k % 3), Value::Int(k)})
+                    .ok());
+  }
+  ASSERT_TRUE(s->Execute("DELETE FROM t WHERE k < 3").ok());
+  for (int k = 1000; k <= 1002; ++k) {
+    ASSERT_TRUE(s->Execute("INSERT INTO t VALUES (?, ?, ?)",
+                           {Value::Int(k), Value::Int(k % 3), Value::Int(k)})
+                    .ok());
+  }
+  db.WaitReplicaCaughtUp();
+
+  for (const char* q :
+       {"SELECT g, v FROM t GROUP BY g ORDER BY g",
+        "SELECT g, COUNT(*) FROM t GROUP BY g HAVING v > 0",
+        "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY v",
+        "SELECT v + 1, COUNT(*) FROM t GROUP BY g",
+        "SELECT v, COUNT(*) FROM t"}) {
+    SCOPED_TRACE(q);
+    auto row = RowStoreExecute(*s, q);
+    ASSERT_FALSE(row.ok());
+    EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+    auto col = s->Execute(q);
+    ASSERT_FALSE(col.ok());
+    EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Allowed: a column inside a grouped expression, and any column of a
+  // table whose primary key is grouped.
+  ExpectParity(db, *s, "SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g");
+  ExpectParity(db, *s, "SELECT k % 2, COUNT(*) FROM t GROUP BY k % 2");
+  ExpectParity(db, *s, "SELECT k, v, g FROM t GROUP BY k");
+}
+
 // ------------------------- hash-join parity suite --------------------------
 
 /// Star-ish schema: `cust` (dimension), `ord` (fact, with NULL join keys
 /// sprinkled in), `item` (second dimension). Every query below must produce
 /// identical results through the vectorized hash join on the replica and
 /// the interpreter's nested-loop join on the row store.
-class JoinParityTest : public ::testing::TestWithParam<bool> {
+class JoinParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto p = TestProfile();
-    p.columnar_encoding = GetParam();
-    db_ = std::make_unique<engine::Database>(p);
+    db_ = std::make_unique<engine::Database>(TestProfile());
     s_ = db_->CreateSession();
     s_->set_charging_enabled(false);
     ASSERT_TRUE(s_->Execute("CREATE TABLE cust (id INT PRIMARY KEY, "
@@ -507,13 +552,7 @@ class JoinParityTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<engine::Session> s_;
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Storage, JoinParityTest, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& info) {
-      return info.param ? std::string("Encoded") : std::string("Raw");
-    });
-
-TEST_P(JoinParityTest, TwoTableEquiJoins) {
+TEST_F(JoinParityTest, TwoTableEquiJoins) {
   ExpectParity(*db_, *s_,
                "SELECT COUNT(*), SUM(o.amount) FROM ord o, cust c "
                "WHERE o.cust_id = c.id");
@@ -528,7 +567,7 @@ TEST_P(JoinParityTest, TwoTableEquiJoins) {
                "SELECT COUNT(*) FROM cust c JOIN ord o ON c.id = o.cust_id");
 }
 
-TEST_P(JoinParityTest, JoinAggregatesAndOrdering) {
+TEST_F(JoinParityTest, JoinAggregatesAndOrdering) {
   ExpectParity(*db_, *s_,
                "SELECT c.region, COUNT(*), SUM(o.amount), MAX(o.qty) "
                "FROM ord o JOIN cust c ON o.cust_id = c.id "
@@ -549,7 +588,7 @@ TEST_P(JoinParityTest, JoinAggregatesAndOrdering) {
                "ON o.cust_id = c.id");
 }
 
-TEST_P(JoinParityTest, ThreeTableJoin) {
+TEST_F(JoinParityTest, ThreeTableJoin) {
   ExpectParity(*db_, *s_,
                "SELECT i.grp, COUNT(*), SUM(o.qty * i.price) "
                "FROM ord o JOIN cust c ON o.cust_id = c.id "
@@ -562,7 +601,7 @@ TEST_P(JoinParityTest, ThreeTableJoin) {
                "AND i.grp = o.qty % 4");
 }
 
-TEST_P(JoinParityTest, CompositeAndCrossFamilyKeys) {
+TEST_F(JoinParityTest, CompositeAndCrossFamilyKeys) {
   // Composite hash key (two equi conjuncts on one step).
   ExpectParity(*db_, *s_,
                "SELECT COUNT(*), SUM(o.amount) FROM ord o JOIN cust c "
@@ -578,25 +617,32 @@ TEST_P(JoinParityTest, CompositeAndCrossFamilyKeys) {
                "ON o.cust_id = c.id AND o.amount > c.credit * 100");
 }
 
-TEST_P(JoinParityTest, GroupRepresentativeSlotsMatchInterpreter) {
-  // c.credit is not a GROUP BY key: its per-group value comes from the
-  // group's first joined tuple, which depends on the driving order. cust is
-  // the smaller side here, so a bare smaller-side build swap would stream
-  // ord and pick different representatives than the interpreter — the
-  // engine must keep the plan's driving order for such shapes.
+TEST_F(JoinParityTest, GroupedJoinColumnsFollowTheGroupingRule) {
+  // c.credit is neither grouped nor determined by a grouped key: its
+  // per-group value would be whichever joined tuple came first, which
+  // differs between the stores, so both reject the statement.
+  const std::string bare =
+      "SELECT c.region, c.credit, COUNT(*) FROM cust c "
+      "JOIN ord o ON o.cust_id = c.id GROUP BY c.region ORDER BY c.region";
+  auto row = RowStoreExecute(*s_, bare);
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+  auto col = ReplicaExecute(*db_, bare);
+  ASSERT_FALSE(col.ok());
+  EXPECT_EQ(col.status().code(), StatusCode::kInvalidArgument);
+  // Grouping cust's primary key determines every cust column.
   ExpectParity(*db_, *s_,
-               "SELECT c.region, c.credit, COUNT(*) FROM cust c "
-               "JOIN ord o ON o.cust_id = c.id GROUP BY c.region "
-               "ORDER BY c.region",
+               "SELECT c.id, c.name, c.credit, COUNT(*) FROM cust c "
+               "JOIN ord o ON o.cust_id = c.id GROUP BY c.id ORDER BY c.id",
                {}, /*ordered=*/true);
   ExpectParity(*db_, *s_,
-               "SELECT c.region, SUM(o.amount) FROM cust c "
-               "JOIN ord o ON o.cust_id = c.id GROUP BY c.region "
-               "HAVING MAX(o.qty) > 1 ORDER BY c.region",
+               "SELECT c.region % 3, SUM(o.amount) FROM cust c "
+               "JOIN ord o ON o.cust_id = c.id GROUP BY c.region % 3 "
+               "HAVING MAX(o.qty) > 1 ORDER BY c.region % 3",
                {}, /*ordered=*/true);
 }
 
-TEST_P(JoinParityTest, SubqueriesInJoinFilters) {
+TEST_F(JoinParityTest, SubqueriesInJoinFilters) {
   // The chbench Q17 shape: a scalar subquery in the build side's filter
   // (item is the smaller side, so it builds).
   ExpectParity(*db_, *s_,
@@ -615,7 +661,7 @@ TEST_P(JoinParityTest, SubqueriesInJoinFilters) {
                "WHERE o.item_id NOT IN (SELECT iid FROM item WHERE grp = 1)");
 }
 
-TEST_P(JoinParityTest, NullKeysNeverJoin) {
+TEST_F(JoinParityTest, NullKeysNeverJoin) {
   // The NULL cust_ids must not match anything (NULL = NULL is false).
   auto joined = s_->Execute(
       "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id "
@@ -627,7 +673,7 @@ TEST_P(JoinParityTest, NullKeysNeverJoin) {
                "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id");
 }
 
-TEST_P(JoinParityTest, PostDeleteSlotReuseParity) {
+TEST_F(JoinParityTest, PostDeleteSlotReuseParity) {
   // Free build-side slots and recycle them: the hash build must skip dead
   // slots and see recycled ones exactly like the interpreter.
   ASSERT_TRUE(s_->Execute("DELETE FROM cust WHERE id % 3 = 0").ok());
@@ -647,7 +693,7 @@ TEST_P(JoinParityTest, PostDeleteSlotReuseParity) {
                "ON o.cust_id = c.id GROUP BY c.name");
 }
 
-TEST_P(JoinParityTest, JoinInsideTransactionPinsToRowStore) {
+TEST_F(JoinParityTest, JoinInsideTransactionPinsToRowStore) {
   ASSERT_TRUE(s_->Begin().ok());
   auto rs = s_->Execute(
       "SELECT COUNT(*) FROM ord o JOIN cust c ON o.cust_id = c.id");
@@ -707,7 +753,6 @@ TEST(JoinAtScale, LargeBuildSideVectorizesWithParity) {
 
 TEST(ExecRouting, IndexedJoinDriverRoutesToRowStore) {
   auto profile = TestProfile();
-  profile.cost_based_routing = true;
   engine::Database db(profile);
   // This test asserts the SERIAL cost crossover; pin it even when the
   // environment (CI's OLXP_EXEC_THREADS) forces a pool onto every
@@ -742,7 +787,6 @@ TEST(ExecRouting, IndexedJoinDriverRoutesToRowStore) {
 
 TEST(ExecRouting, CostBasedRouterPrefersRowStoreForIndexedShapes) {
   auto profile = TestProfile();
-  profile.cost_based_routing = true;
   engine::Database db(profile);
   db.set_exec_threads(1);  // serial crossover (see note above)
   auto s = db.CreateSession();

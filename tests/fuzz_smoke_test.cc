@@ -95,6 +95,17 @@ TEST(DifferentialOracle, DetectsCellDivergence) {
   EXPECT_NE("", report);
 }
 
+// A statement built to be rejected (the generator's ungrouped-column shape)
+// is a divergence wherever a path accepts it.
+TEST(DifferentialOracle, FlagsAcceptedStatementBuiltToFail) {
+  EXPECT_EQ("", fuzz::RunSqlDifferential(
+                    "SELECT e, b, COUNT(*) FROM t GROUP BY e",
+                    /*expect_error=*/true));
+  const std::string report = fuzz::RunSqlDifferential(
+      "SELECT e, COUNT(*) FROM t GROUP BY e", /*expect_error=*/true);
+  EXPECT_NE(std::string::npos, report.find("expected an error")) << report;
+}
+
 TEST(DifferentialOracle, AgreesWhenUnperturbed) {
   EXPECT_EQ("", fuzz::RunSqlDifferential(
                     "SELECT d, COUNT(*), SUM(b) FROM t GROUP BY d"));

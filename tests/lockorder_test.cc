@@ -22,7 +22,8 @@ TEST(LockRankNames, EveryRankHasAName) {
   for (LockRank r : {LockRank::kCheckpoint, LockRank::kVacuumPass,
                      LockRank::kReplicatorApply, LockRank::kLockManagerShard,
                      LockRank::kOracleCommit, LockRank::kSnapshotRegistry,
-                     LockRank::kCatalog, LockRank::kTableLatch,
+                     LockRank::kCatalog, LockRank::kTableGate,
+                     LockRank::kTableLatch,
                      LockRank::kVacuumState, LockRank::kWalIo,
                      LockRank::kWalPending, LockRank::kCommitLog,
                      LockRank::kObs, LockRank::kWorkerPool,

@@ -19,7 +19,6 @@
 #include "exec/morsel.h"
 #include "exec/vectorized.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 #include "tests/result_strings.h"
 
 namespace olxp {
@@ -28,7 +27,6 @@ namespace {
 engine::EngineProfile ParallelProfile(int threads) {
   auto p = engine::EngineProfile::TiDbLike();
   p.olap_row_fraction = 0.0;
-  p.cost_based_routing = false;
   p.replication_lag_micros = 0;
   p.exec_threads = threads;
   return p;
@@ -452,35 +450,25 @@ TEST(ParallelExec, EarlyStopLimitPlansStaySerialAndCorrect) {
 
   // The early exit itself: one lane claims the first morsel and stops at
   // the first chunk, whatever the pool's width.
-  auto parsed = sql::Parse(sql);
-  ASSERT_TRUE(parsed.ok());
-  auto stmt = sql::Compile(*parsed, db);
-  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  obs::Counter* morsels = db.metrics().GetCounter("exec.morsels_dispatched");
   for (int threads : {1, 8}) {
     SCOPED_TRACE("exec_threads=" + std::to_string(threads));
     db.set_exec_threads(threads);
-    obs::Counter morsels;
-    exec::VecExecOptions opts;
-    opts.pool = db.exec_pool();
-    opts.morsel_rows = db.profile().morsel_rows;
-    opts.morsel_counter = &morsels;
+    const int64_t morsels_before = morsels->Value();
     exec::VecExecStats run;
-    auto out = exec::ExecuteVectorized(**stmt, {}, db.column_store(), opts,
-                                       &run);
+    auto out = ReplicaExecute(db, sql, {}, &run);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(out->rows.size(), 5u);
     EXPECT_EQ(run.lanes_used, 1);
     EXPECT_EQ(run.rows_scanned, static_cast<int64_t>(exec::kVecChunkRows));
-    EXPECT_EQ(morsels.Value(), 1);
+    EXPECT_EQ(morsels->Value() - morsels_before, 1);
   }
 }
 
 // ------------------------------- routing -----------------------------------
 
 TEST(ParallelRouting, PointReadsStayOnRowStoreWithPool) {
-  auto p = ParallelProfile(8);
-  p.cost_based_routing = true;
-  engine::Database db(p);
+  engine::Database db(ParallelProfile(8));
   auto s = db.CreateSession();
   s->set_charging_enabled(false);
   ASSERT_TRUE(s->Execute("CREATE TABLE pr (k INT PRIMARY KEY, v INT)").ok());
@@ -511,9 +499,7 @@ TEST(ParallelRouting, ParallelCostTermPullsIndexedScansToReplica) {
   // range: zone pruning estimates a full read and the parallel term is
   // pinned in isolation (zone-based routing has its own coverage in
   // obs_test / encoding_test).
-  auto p = ParallelProfile(1);
-  p.cost_based_routing = true;
-  engine::Database db(p);
+  engine::Database db(ParallelProfile(1));
   auto s = db.CreateSession();
   s->set_charging_enabled(false);
   ASSERT_TRUE(s->Execute("CREATE TABLE ix (k INT PRIMARY KEY, v INT)").ok());
@@ -584,7 +570,6 @@ void InsertShuffled(engine::Session* s, const std::string& table, int rows) {
 /// 1% resolution (TiDbLike's 35 us is under 1% of this replica sweep).
 TEST(ParallelRouting, ExactEstimateRecordsZeroResidual) {
   auto p = ParallelProfile(8);
-  p.cost_based_routing = true;
   p.latency.statement_overhead_ns = 1000000;
   engine::Database db(p);
   auto s = db.CreateSession();
@@ -641,21 +626,11 @@ TEST(ParallelRouting, ReplicaEstimateMatchesExecution) {
   };
   for (int threads : {1, 8}) {
     db.set_exec_threads(threads);
-    exec::VecExecOptions opts;
-    opts.pool = db.exec_pool();
-    opts.morsel_rows = db.profile().morsel_rows;
     for (const char* sql : shapes) {
       SCOPED_TRACE(std::string(sql) + " @" + std::to_string(threads));
-      auto parsed = sql::Parse(sql);
-      ASSERT_TRUE(parsed.ok());
-      auto stmt = sql::Compile(*parsed, db);
-      ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-      const exec::VecExecStats est =
-          exec::EstimateReplicaWork(**stmt, {}, db.column_store(), opts);
+      exec::VecExecStats est;
       exec::VecExecStats run;
-      ASSERT_TRUE(
-          exec::ExecuteVectorized(**stmt, {}, db.column_store(), opts, &run)
-              .ok());
+      ASSERT_TRUE(ReplicaExecute(db, sql, {}, &run, &est).ok());
       EXPECT_EQ(est.rows_scanned, run.rows_scanned);
       EXPECT_EQ(est.rows_scanned_driver, run.rows_scanned_driver);
       EXPECT_EQ(est.rows_built, run.rows_built);

@@ -5,7 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "engine/database.h"
 #include "engine/session.h"
+#include "exec/vectorized.h"
+#include "sql/parser.h"
 #include "sql/storage_iface.h"
 
 namespace olxp {
@@ -43,6 +46,35 @@ inline StatusOr<sql::ResultSet> RowStoreExecute(
   st = s.Commit();
   if (!st.ok()) return st;
   return rs;
+}
+
+/// The replica side of the parity suites and the SQL oracle: `sql`
+/// compiled against `db` and run by the vectorized engine on the columnar
+/// replica, with the database's worker pool, morsel size and exec counters
+/// (exec.morsels_dispatched, exec.agg.partitioned) — the engine itself,
+/// with no router in between to send the statement elsewhere. A shape the
+/// engine refuses fails with kUnsupported. `stats`, when non-null, receives
+/// the work the run reported; `estimate`, when non-null, what
+/// exec::EstimateReplicaWork predicted for it under the same options.
+inline StatusOr<sql::ResultSet> ReplicaExecute(
+    engine::Database& db, const std::string& sql,
+    std::span<const Value> params = {}, exec::VecExecStats* stats = nullptr,
+    exec::VecExecStats* estimate = nullptr) {
+  auto parsed = sql::Parse(sql);
+  if (!parsed.ok()) return parsed.status();
+  auto stmt = sql::Compile(*parsed, db);
+  if (!stmt.ok()) return stmt.status();
+  exec::VecExecOptions opts;
+  opts.pool = db.exec_pool();
+  opts.morsel_rows = db.profile().morsel_rows;
+  opts.morsel_counter = db.metrics().GetCounter("exec.morsels_dispatched");
+  opts.partitioned_counter = db.metrics().GetCounter("exec.agg.partitioned");
+  if (estimate != nullptr) {
+    *estimate = exec::EstimateReplicaWork(**stmt, params, db.column_store(),
+                                          opts);
+  }
+  return exec::ExecuteVectorized(**stmt, params, db.column_store(), opts,
+                                 stats);
 }
 
 }  // namespace olxp

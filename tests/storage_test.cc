@@ -256,8 +256,9 @@ TEST(MvccTable, VacuumBelowTruncatesErasesAndPurges) {
 
 TEST(MvccTable, ChunkedScanStaysConsistentAcrossLatchDrops) {
   MvccTable t(0, KvSchema());
-  t.set_scan_chunk_rows(8);  // many drops across 100 rows
-  for (int i = 0; i < 100; ++i) {
+  // 13 scan chunks: every scan drops the table latch 12 times.
+  constexpr int kRows = static_cast<int>(12 * kScanChunkRows) + 100;
+  for (int i = 0; i < kRows; ++i) {
     ASSERT_TRUE(t.InstallVersion({Value::Int(i)}, 10, false,
                                  KvRow(i, "v", i))
                     .ok());
@@ -268,10 +269,10 @@ TEST(MvccTable, ChunkedScanStaysConsistentAcrossLatchDrops) {
   std::thread writer([&] {
     uint64_t ts = 11;
     while (!stop.load(std::memory_order_relaxed)) {
-      for (int i = 0; i < 100 && !stop.load(std::memory_order_relaxed);
+      for (int i = 0; i < kRows && !stop.load(std::memory_order_relaxed);
            ++i) {
         ASSERT_TRUE(t.InstallVersion({Value::Int(i)}, ts, false,
-                                     KvRow(i, "new", 1000 + i))
+                                     KvRow(i, "new", kRows + i))
                         .ok());
       }
       ++ts;
@@ -282,10 +283,10 @@ TEST(MvccTable, ChunkedScanStaysConsistentAcrossLatchDrops) {
     bool all_snapshot = true;
     t.Scan(10, [&](const Row& row) {
       ++n;
-      if (row[2].AsInt() >= 1000) all_snapshot = false;
+      if (row[2].AsInt() >= kRows) all_snapshot = false;
       return true;
     });
-    EXPECT_EQ(n, 100);
+    EXPECT_EQ(n, kRows);
     EXPECT_TRUE(all_snapshot);  // never sees post-snapshot installs
   }
   stop.store(true);
@@ -304,7 +305,9 @@ TEST(MvccTable, ConcurrentReadersAndInstalls) {
     stop = true;
   });
   int64_t reads = 0;
-  while (!stop.load()) {
+  // Until the writer is done, and then until a scan has seen its rows: the
+  // writer can finish before this thread is first scheduled.
+  while (!stop.load() || reads == 0) {
     uint64_t ts = oracle.Current();
     t.Scan(ts, [&](const Row&) {
       ++reads;

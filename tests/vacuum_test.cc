@@ -260,13 +260,13 @@ TEST(Vacuum, ConcurrentInstallVacuumScanStress) {
   EngineProfile p = SiProfile();
   p.vacuum_interval_us = 500;  // aggressive background passes
   p.vacuum_batch_rows = 32;    // many latch drops per pass
-  p.scan_chunk_rows = 16;      // scans drop the latch constantly
   Database db(p);
   auto loader = db.CreateSession();
   loader->set_charging_enabled(false);
   ASSERT_TRUE(
       loader->Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
-  constexpr int kBase = 200;
+  // 13 scan chunks: every scan drops the table latch 12 times.
+  constexpr int kBase = static_cast<int>(12 * storage::kScanChunkRows) + 200;
   for (int i = 0; i < kBase; ++i) {
     ASSERT_TRUE(loader->Execute("INSERT INTO t VALUES (?, ?)",
                                 {Value::Int(i), Value::Int(0)})
