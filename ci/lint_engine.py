@@ -66,6 +66,13 @@ Stdlib-only; runs from CI (static-analysis job) and from ctest. Rules:
                   one morsel-driven scan driver, so a second scan loop
                   cannot drift from its zone-map skipping, block
                   accounting or early exit.
+  row-sweep       kScanChunkRows is referenced under src/ only by its
+                  definition in src/storage/table.h and by the body of
+                  MvccTable::Sweep in src/storage/table.cc, the row
+                  store's one chunked read driver (Scan, ScanPkRange and
+                  ForEachCommitted call it). A second chunk loop would
+                  drift from its writer-gate pass, latch drops and resume
+                  key.
 
 Usage: lint_engine.py [--root DIR] [--json]
 Exits 0 when clean, 1 otherwise. Default output is one human-readable
@@ -171,6 +178,13 @@ SCAN_PIN_FILES = {
     "src/storage/column_store.cc",
 }
 
+ROW_CHUNK_RE = re.compile(r"\bkScanChunkRows\b")
+# The chunk bound's definition, and the one function that may use it.
+ROW_CHUNK_DEF_RE = re.compile(r"\bconstexpr\b.*\bkScanChunkRows\s*=")
+ROW_CHUNK_DEF_FILE = "src/storage/table.h"
+ROW_SWEEP_DRIVER_RE = re.compile(r"\bMvccTable::Sweep\s*\(")
+ROW_SWEEP_DRIVER_FILE = "src/storage/table.cc"
+
 LINE_COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
 # blocking-under-lock: guard construction opens a lexical critical section
@@ -211,6 +225,12 @@ def lint_file(root, rel, findings):
     # needs to see ordinary guard blocks.
     depth = 0
     guard_depths = []
+    # row-sweep: the brace depth at which MvccTable::Sweep's definition
+    # started (None outside it), and whether its body has opened yet.
+    driver_depth = None
+    driver_open = False
+    sweep_driver_file = rel.as_posix() == ROW_SWEEP_DRIVER_FILE
+    chunk_def_file = rel.as_posix() == ROW_CHUNK_DEF_FILE
     lines = text.splitlines()
     for lineno, line in enumerate(lines, start=1):
         if TODO_RE.search(line) and not TODO_TAGGED_RE.search(line):
@@ -252,6 +272,16 @@ def lint_file(root, rel, findings):
                                  "ColumnTable::ScanPin constructed outside "
                                  "exec/vectorized.cc; sweep the replica "
                                  "through its MorselScan driver"))
+            if (sweep_driver_file and ROW_SWEEP_DRIVER_RE.search(line)
+                    and not LINE_COMMENT_RE.match(line)):
+                driver_depth = depth
+            if (ROW_CHUNK_RE.search(line) and driver_depth is None
+                    and not (chunk_def_file and ROW_CHUNK_DEF_RE.search(line))
+                    and not LINE_COMMENT_RE.match(line)):
+                findings.append((rel, lineno, "row-sweep",
+                                 "kScanChunkRows outside MvccTable::Sweep; "
+                                 "read the row store through Scan / "
+                                 "ScanPkRange / ForEachCommitted"))
             if TSA_ESCAPE_RE.search(line):
                 findings.append((rel, lineno, "tsa-escape",
                                  "NO_THREAD_SAFETY_ANALYSIS outside the "
@@ -289,6 +319,12 @@ def lint_file(root, rel, findings):
             depth += line.count("{") - line.count("}")
             while guard_depths and depth < guard_depths[-1]:
                 guard_depths.pop()
+            if driver_depth is not None:
+                if depth > driver_depth:
+                    driver_open = True
+                elif driver_open:
+                    driver_depth = None
+                    driver_open = False
 
 
 def main(argv):

@@ -225,7 +225,7 @@ benchfw::BenchmarkSuite MakeChBenchmark(benchfw::LoadParams params) {
     const char* sql = q.sql;
     suite.queries.push_back(TxnProfile{
         q.name, 1.0, true,
-        [sql](engine::Session& s, Rng& rng) -> Status {
+        [sql](engine::Session& s, Rng& /*rng*/) -> Status {
           auto rs = s.Execute(sql);
           return rs.ok() ? Status::OK() : rs.status();
         }});

@@ -287,7 +287,7 @@ Status StockLevelBody(engine::Session& s, Rng& rng, const Scale& sc) {
 
 /// Q1: Orders Analytical Report — magnitude summary of ORDER_LINE grouped
 /// by line number (the paper's flagship subenchmark query).
-Status Q1(engine::Session& s, Rng& rng) {
+Status Q1(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT ol_number, SUM(ol_quantity), SUM(ol_amount), "
          "AVG(ol_quantity), AVG(ol_amount), COUNT(*) FROM order_line "
@@ -296,7 +296,7 @@ Status Q1(engine::Session& s, Rng& rng) {
 }
 
 /// Q2: customer balance distribution (CUSTOMER).
-Status Q2(engine::Session& s, Rng& rng) {
+Status Q2(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT c_credit, COUNT(*), AVG(c_balance), MIN(c_balance), "
          "MAX(c_balance) FROM customer GROUP BY c_credit ORDER BY c_credit");
@@ -305,7 +305,7 @@ Status Q2(engine::Session& s, Rng& rng) {
 
 /// Q3: spend analysis over HISTORY — the table stitched schemas never
 /// analyze (§III-B2).
-Status Q3(engine::Session& s, Rng& rng) {
+Status Q3(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT h_w_id, COUNT(*), SUM(h_amount), AVG(h_amount) FROM history "
          "GROUP BY h_w_id ORDER BY h_w_id");
@@ -314,7 +314,7 @@ Status Q3(engine::Session& s, Rng& rng) {
 
 /// Q4: warehouse vs district year-to-date reconciliation (WAREHOUSE +
 /// DISTRICT, also ignored by stitched schemas).
-Status Q4(engine::Session& s, Rng& rng) {
+Status Q4(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT w.w_id, MAX(w.w_ytd), SUM(d.d_ytd) FROM warehouse w "
          "JOIN district d ON d.d_w_id = w.w_id GROUP BY w.w_id "
@@ -323,7 +323,7 @@ Status Q4(engine::Session& s, Rng& rng) {
 }
 
 /// Q5: top revenue items.
-Status Q5(engine::Session& s, Rng& rng) {
+Status Q5(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT ol_i_id, SUM(ol_amount) AS rev FROM order_line "
          "GROUP BY ol_i_id ORDER BY rev DESC LIMIT 10");
@@ -340,7 +340,7 @@ Status Q6(engine::Session& s, Rng& rng) {
 }
 
 /// Q7: order behaviour per customer credit class (multi-join).
-Status Q7(engine::Session& s, Rng& rng) {
+Status Q7(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT c.c_credit, COUNT(*), AVG(o.o_ol_cnt) FROM orders o "
          "JOIN customer c ON c.c_w_id = o.o_w_id AND c.c_d_id = o.o_d_id "
@@ -349,7 +349,7 @@ Status Q7(engine::Session& s, Rng& rng) {
 }
 
 /// Q8: undelivered backlog by warehouse.
-Status Q8(engine::Session& s, Rng& rng) {
+Status Q8(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT o_w_id, COUNT(*) FROM orders WHERE o_carrier_id IS NULL "
          "GROUP BY o_w_id ORDER BY o_w_id");
@@ -357,7 +357,7 @@ Status Q8(engine::Session& s, Rng& rng) {
 }
 
 /// Q9: price-band catalogue analysis (CASE + grouping).
-Status Q9(engine::Session& s, Rng& rng) {
+Status Q9(engine::Session& s, Rng& /*rng*/) {
   auto rs = Query(
       s, "SELECT CASE WHEN i_price < 50 THEN 0 ELSE 1 END AS band, "
          "COUNT(*), AVG(i_price) FROM item GROUP BY "

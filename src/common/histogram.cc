@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace olxp {
 
@@ -98,18 +97,6 @@ double LatencyHistogram::Percentile(double q) const {
     seen += buckets_[i];
   }
   return static_cast<double>(max_);
-}
-
-std::string LatencyHistogram::Summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "cnt=%lld mean=%.2fms p50=%.2fms p90=%.2fms p95=%.2fms "
-                "p99.9=%.2fms max=%.2fms sd=%.2fms",
-                static_cast<long long>(count_), Mean() / 1000.0,
-                Median() / 1000.0, P90() / 1000.0, P95() / 1000.0,
-                P999() / 1000.0, static_cast<double>(max_) / 1000.0,
-                StdDev() / 1000.0);
-  return std::string(buf);
 }
 
 }  // namespace olxp

@@ -2,7 +2,6 @@
 #define OLXP_COMMON_HISTOGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace olxp {
@@ -42,10 +41,6 @@ class LatencyHistogram {
   double P95() const { return Percentile(0.95); }
   double P999() const { return Percentile(0.999); }
   double P9999() const { return Percentile(0.9999); }
-
-  /// One-line summary in milliseconds, e.g.
-  /// "cnt=1000 mean=1.21ms p50=1.1ms p95=2.0ms p99.9=4.2ms max=5.0ms".
-  std::string Summary() const;
 
  private:
   static constexpr int kBucketCount = 512;

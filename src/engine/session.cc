@@ -121,8 +121,6 @@ class TxnStorage : public sql::StorageIface {
    public:
     ScanMarker(TxnStorage* owner, int table_id) : owner_(owner) {
       table_ = owner_->db_->row_store().table(table_id);
-      owner_->db_->row_store().active_scans().fetch_add(
-          1, std::memory_order_relaxed);
       if (table_ != nullptr) {
         others_ = table_->active_scans().fetch_add(
             1, std::memory_order_relaxed);
@@ -132,8 +130,6 @@ class TxnStorage : public sql::StorageIface {
       if (table_ != nullptr) {
         table_->active_scans().fetch_sub(1, std::memory_order_relaxed);
       }
-      owner_->db_->row_store().active_scans().fetch_sub(
-          1, std::memory_order_relaxed);
     }
     /// Sublinear scan-on-scan slowdown (bandwidth sharing). Applies to
     /// standalone analytical scans only; in-transaction real-time reads

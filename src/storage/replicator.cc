@@ -63,12 +63,12 @@ void Replicator::Stop() {
   // when the flag flipped, leaving records that were already due (older
   // than the lag) unapplied. Without this, a commit immediately before
   // Stop() is silently missing from the replica that tests then read.
-  ApplyUpTo(NowMicros() - lag_micros_.load(std::memory_order_relaxed));
+  ApplyUpTo(NowMicros() - lag_micros_);
 }
 
 void Replicator::Run() {
   while (running_.load(std::memory_order_relaxed)) {
-    ApplyUpTo(NowMicros() - lag_micros_.load(std::memory_order_relaxed));
+    ApplyUpTo(NowMicros() - lag_micros_);
     // A real OS sleep, not SleepMicros: the poll interval is scheduling
     // slack, not a simulated device latency, and the spin-wait tail would
     // otherwise burn a full core for the life of the database.

@@ -52,14 +52,6 @@ class Replicator {
   /// Start(); the registry must outlive the replicator.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Dynamically adjusts the propagation delay.
-  void set_lag_micros(int64_t lag) {
-    lag_micros_.store(lag, std::memory_order_relaxed);
-  }
-  int64_t lag_micros() const {
-    return lag_micros_.load(std::memory_order_relaxed);
-  }
-
   /// Records applied so far.
   uint64_t applied_count() const {
     return next_seq_.load(std::memory_order_acquire);
@@ -77,7 +69,7 @@ class Replicator {
   sync::Mutex apply_mu_{sync::LockRank::kReplicatorApply, "replicator.apply"};
   SnapshotRegistry* registry_ GUARDED_BY(apply_mu_) = nullptr;
   SnapshotRegistry::Handle frontier_handle_ GUARDED_BY(apply_mu_) = 0;
-  std::atomic<int64_t> lag_micros_;
+  const int64_t lag_micros_;
   const int64_t poll_micros_;
 
   std::atomic<bool> running_{false};

@@ -1,7 +1,6 @@
 #ifndef OLXP_STORAGE_ROW_STORE_H_
 #define OLXP_STORAGE_ROW_STORE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -37,17 +36,11 @@ class RowStore {
 
   int num_tables() const;
 
-  /// Count of live analytical scans running against the row store
-  /// (unified-store engines send OLAP here; the latency model reads this
-  /// as the buffer-pressure signal).
-  std::atomic<int>& active_scans() { return active_scans_; }
-
  private:
   mutable sync::SharedMutex mu_{sync::LockRank::kCatalog, "rowstore.catalog"};
   std::vector<std::unique_ptr<MvccTable>> tables_ GUARDED_BY(mu_);
   /// Lower-cased names.
   std::unordered_map<std::string, int> name_to_id_ GUARDED_BY(mu_);
-  std::atomic<int> active_scans_{0};
 };
 
 }  // namespace olxp::storage

@@ -65,74 +65,43 @@ Status MvccTable::InstallVersion(const Row& pk, uint64_t commit_ts,
   return Status::OK();
 }
 
-int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
+template <typename Visit>
+int64_t MvccTable::Sweep(const Row* lo, const Row* hi, uint64_t snapshot_ts,
+                         Visit&& visit) const {
   int64_t visited = 0;
-  bool stopped = false;
   Row resume;
-  bool has_resume = false;
-  // Chunked latch-dropping sweep (same pattern as ForEachCommitted): the
-  // shared lock covers at most kScanChunkRows rows at a time, so
-  // InstallVersion never waits behind a whole-table analytical scan.
-  // Per-key snapshot visibility keeps the merged result consistent across
-  // the gaps.
-  while (!stopped) {
+  const Row* start = lo;
+  for (;;) {
     { sync::MutexLock gate(gate_); }  // behind any waiting writer
     sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
-    size_t n = 0;
-    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
+    auto it = start == nullptr ? rows_.begin() : rows_.lower_bound(*start);
+    for (size_t n = 0; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
+      // Stop once past `hi`; prefix keys compare less than any extension,
+      // so test hi < prefix(pk, hi.size()) — in place, no per-row copy.
+      if (hi != nullptr && ComparePrefix(it->first, hi->size(), *hi) > 0) {
+        return visited;
+      }
       ++visited;
       const Version* v = VisibleVersion(it->second, snapshot_ts);
       if (v == nullptr || v->deleted) continue;
-      if (!cb(v->data)) {
-        stopped = true;
-        break;
-      }
+      if (!visit(it->first, *v)) return visited;
     }
-    if (it == rows_.end()) break;
-    resume = it->first;  // first key of the next chunk
-    has_resume = true;
+    if (it == rows_.end()) return visited;
+    resume = it->first;  // first key of the next chunk; the latch drops
+    start = &resume;
   }
-  rows_scanned_.fetch_add(static_cast<uint64_t>(visited),
-                          std::memory_order_relaxed);
-  return visited;
+}
+
+int64_t MvccTable::Scan(uint64_t snapshot_ts, const RowCallback& cb) const {
+  return Sweep(nullptr, nullptr, snapshot_ts,
+               [&](const Row&, const Version& v) { return cb(v.data); });
 }
 
 int64_t MvccTable::ScanPkRange(const Row& lo, const Row& hi,
                                uint64_t snapshot_ts,
                                const RowCallback& cb) const {
-  int64_t visited = 0;
-  bool stopped = false;
-  Row resume;
-  bool has_resume = false;
-  while (!stopped) {
-    { sync::MutexLock gate(gate_); }  // behind any waiting writer
-    sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.lower_bound(lo);
-    size_t n = 0;
-    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
-      // Stop once past `hi`; prefix keys compare less than any extension,
-      // so test hi < prefix(pk, hi.size()) — in place, no per-row copy.
-      const Row& pk = it->first;
-      if (ComparePrefix(pk, hi.size(), hi) > 0) {
-        stopped = true;
-        break;
-      }
-      ++visited;
-      const Version* v = VisibleVersion(it->second, snapshot_ts);
-      if (v == nullptr || v->deleted) continue;
-      if (!cb(v->data)) {
-        stopped = true;
-        break;
-      }
-    }
-    if (it == rows_.end()) break;
-    resume = it->first;
-    has_resume = true;
-  }
-  rows_scanned_.fetch_add(static_cast<uint64_t>(visited),
-                          std::memory_order_relaxed);
-  return visited;
+  return Sweep(&lo, &hi, snapshot_ts,
+               [&](const Row&, const Version& v) { return cb(v.data); });
 }
 
 int64_t MvccTable::IndexLookup(int index_id, const Row& key,
@@ -162,8 +131,6 @@ int64_t MvccTable::IndexLookup(int index_id, const Row& key,
     if (!PrefixEq(live_key, key.size(), key)) continue;
     out->push_back(v->data);
   }
-  rows_scanned_.fetch_add(static_cast<uint64_t>(visited),
-                          std::memory_order_relaxed);
   return visited;
 }
 
@@ -192,27 +159,9 @@ void MvccTable::ForEachCommitted(
     uint64_t snapshot_ts,
     const std::function<bool(const Row& pk, uint64_t commit_ts,
                              const Row& data)>& cb) const {
-  // Chunked: the checkpoint writer deep-copies every row it visits, and
-  // holding the reader lock across a whole large table would stall every
-  // committer's InstallVersion for the duration. Dropping the lock between
-  // chunks is safe because visibility is by snapshot_ts — rows installed
-  // in between carry newer timestamps and stay invisible to this pass.
-  Row resume;
-  bool has_resume = false;
-  for (;;) {
-    { sync::MutexLock gate(gate_); }  // behind any waiting writer
-    sync::ReaderLock lk(mu_);
-    auto it = has_resume ? rows_.lower_bound(resume) : rows_.begin();
-    size_t n = 0;
-    for (; it != rows_.end() && n < kScanChunkRows; ++it, ++n) {
-      const Version* v = VisibleVersion(it->second, snapshot_ts);
-      if (v == nullptr || v->deleted) continue;
-      if (!cb(it->first, v->commit_ts, v->data)) return;
-    }
-    if (it == rows_.end()) return;
-    resume = it->first;  // first key of the next chunk
-    has_resume = true;
-  }
+  Sweep(nullptr, nullptr, snapshot_ts, [&](const Row& pk, const Version& v) {
+    return cb(pk, v.commit_ts, v.data);
+  });
 }
 
 size_t MvccTable::ApproxRowCount() const {

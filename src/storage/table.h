@@ -56,16 +56,21 @@ using RowCallback = std::function<bool(const Row&)>;
 /// Concurrency: a table-level shared_mutex protects the tree structure;
 /// version installs take it exclusively (short critical section), reads and
 /// scans take it shared. Version chains are only appended under the
-/// exclusive lock, so shared-lock readers can safely walk them. Scans are
-/// chunked (kScanChunkRows): the shared lock drops every chunk so a
-/// multi-second analytical sweep never blocks committers for its whole
-/// duration — per-key MVCC visibility keeps the result a consistent
+/// exclusive lock, so shared-lock readers can safely walk them.
+///
+/// Every multi-row read (Scan, ScanPkRange, ForEachCommitted) runs through
+/// one private sweep driver, Sweep: it holds the shared lock for at most
+/// kScanChunkRows entries, drops it, and resumes at the first unvisited
+/// key, so a multi-second analytical sweep never blocks committers for its
+/// whole duration — per-key MVCC visibility keeps the result a consistent
 /// snapshot anyway (rows installed between chunks carry newer timestamps;
 /// rows vacuumed between chunks were invisible at any registered snapshot).
-/// A writer waits for at most the chunk each running scan is in: writers
-/// take the table's gate before the latch, and a scan passes the gate
-/// before each chunk, so scans that keep overlapping cannot hold a waiting
+/// A writer waits for at most the chunk each running sweep is in: writers
+/// take the table's gate before the latch, and the driver passes the gate
+/// before each chunk, so sweeps that keep overlapping cannot hold a waiting
 /// writer off indefinitely (the shared latch may prefer readers).
+/// VacuumBelow has its own loop: it erases entries under the exclusive
+/// latch in batches of its caller's size.
 class MvccTable {
  public:
   MvccTable(int table_id, TableSchema schema) : table_id_(table_id) {
@@ -106,8 +111,8 @@ class MvccTable {
                         Row data);
 
   /// Full scan of rows visible at `snapshot_ts` in primary-key order.
-  /// Returns the number of rows *visited* (versions inspected), which the
-  /// latency model uses as scan cost.
+  /// Returns the number of entries *visited* (invisible ones included),
+  /// which the latency model uses as scan cost.
   int64_t Scan(uint64_t snapshot_ts, const RowCallback& cb) const;
 
   /// Range scan over primary keys in [lo, hi] (inclusive; either may be a
@@ -156,11 +161,6 @@ class MvccTable {
   /// Total secondary-index entries across all indexes (stale included).
   size_t IndexEntryCount() const;
 
-  /// Cumulative count of rows visited by scans (interference metric).
-  uint64_t rows_scanned() const {
-    return rows_scanned_.load(std::memory_order_relaxed);
-  }
-
   /// Live analytical scans touching THIS table. Buffer/latch pressure is
   /// per-data: the latency model inflates the cost of operations on a table
   /// by the scans concurrently sweeping it. Scans of tables the OLTP
@@ -178,6 +178,18 @@ class MvccTable {
 
   /// Newest version with commit_ts <= ts, or nullptr.
   static const Version* VisibleVersion(const Chain& chain, uint64_t ts);
+
+  /// The chunked read protocol. Walks entries in key order from `lo` (the
+  /// first key when null) up to the last key whose prefix is <= `hi` (no
+  /// bound when null), handing `visit(pk, version)` the version of each
+  /// entry visible at `snapshot_ts`; rows absent or deleted at the
+  /// snapshot are skipped. `visit` returns false to stop. Before each
+  /// chunk of at most kScanChunkRows entries it passes the writer gate and
+  /// takes the shared latch; between chunks the latch drops and the walk
+  /// resumes at the first unvisited key. Returns the entries walked.
+  template <typename Visit>
+  int64_t Sweep(const Row* lo, const Row* hi, uint64_t snapshot_ts,
+                Visit&& visit) const;
 
   /// Erases one (ikey, pk) pair from index `idx` if present. Returns 1 when
   /// an entry was erased.
@@ -206,7 +218,6 @@ class MvccTable {
   std::vector<std::multimap<Row, Row, KeyLess>> index_entries_
       GUARDED_BY(mu_);
 
-  mutable std::atomic<uint64_t> rows_scanned_{0};
   std::atomic<int> active_scans_{0};
 };
 

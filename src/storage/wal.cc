@@ -628,26 +628,8 @@ Status WalWriter::WaitDurable(uint64_t seq) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(opts_.group_commit_window_us));
       }
-      {
-        // Same order as Flush(): io_mu_ first, then a short mu_ hold for
-        // the swap, so concurrent DDL/checkpoint flushes cannot interleave
-        // frames out of sequence order in the segment file.
-        sync::MutexLock io(io_mu_);
-        std::string buf;
-        uint64_t last = 0;
-        size_t records = 0;
-        {
-          sync::MutexLock swap_lk(mu_);
-          buf.swap(pending_);
-          last = pending_last_seq_;
-          records = pending_count_;
-          pending_count_ = 0;
-        }
-        if (!buf.empty()) {
-          // Failure lands in the sticky state the loop re-reads below.
-          (void)WriteAndMaybeSync(buf, last, records, /*sync=*/true);
-        }
-      }
+      // Failure lands in the sticky state the loop re-reads below.
+      (void)WriteBatch(/*sync=*/true);
       // Our record was enqueued before this call, so it was either in the
       // batch just synced or in an earlier completed flush; loop back to
       // report durable success — or the I/O failure the flush just hit.
@@ -663,8 +645,14 @@ Status WalWriter::WaitDurable(uint64_t seq) {
 }
 
 Status WalWriter::Flush() {
+  OLXP_RETURN_NOT_OK(WriteBatch(/*sync=*/true));
+  return last_error();
+}
+
+Status WalWriter::WriteBatch(bool sync) {
   // io_mu_ first, then a short mu_ hold to swap the buffer: the write is
-  // outside mu_ (appends keep flowing) but segment bytes stay in seq order.
+  // outside mu_ (appends keep flowing), and no other flush can interleave
+  // frames out of sequence order in the segment file.
   sync::MutexLock io(io_mu_);
   std::string buf;
   uint64_t last = 0;
@@ -676,10 +664,9 @@ Status WalWriter::Flush() {
     records = pending_count_;
     pending_count_ = 0;
   }
-  if (!buf.empty()) {
-    OLXP_RETURN_NOT_OK(WriteAndMaybeSync(buf, last, records, /*sync=*/true));
-  } else if (fd_ >= 0 &&
-             durable_seq_.load(std::memory_order_acquire) < last) {
+  if (!buf.empty()) return WriteAndMaybeSync(buf, last, records, sync);
+  if (sync && fd_ >= 0 && !io_failed_.load(std::memory_order_acquire) &&
+      durable_seq_.load(std::memory_order_acquire) < last) {
     // Async mode may have written these bytes without syncing them.
     const int64_t t0 = NowMicros();
     if (::fsync(fd_) != 0) {
@@ -693,7 +680,7 @@ Status WalWriter::Flush() {
     durable_seq_.store(last, std::memory_order_release);
     durable_cv_.NotifyAll();
   }
-  return last_error();
+  return Status::OK();
 }
 
 Status WalWriter::RecordIoError(const std::string& what) {
@@ -777,21 +764,8 @@ void WalWriter::FlusherLoop() {
       if (stop_) return;  // destructor flushes the remainder
     }
     std::this_thread::sleep_for(std::chrono::microseconds(500));
-    sync::MutexLock io(io_mu_);
-    std::string buf;
-    uint64_t last = 0;
-    size_t records = 0;
-    {
-      sync::MutexLock lk(mu_);
-      buf.swap(pending_);
-      last = pending_last_seq_;
-      records = pending_count_;
-      pending_count_ = 0;
-    }
-    if (!buf.empty()) {
-      // Write-behind: failure is sticky and reported by WaitDurable/Flush.
-      (void)WriteAndMaybeSync(buf, last, records, /*sync=*/false);
-    }
+    // Write-behind: failure is sticky and reported by WaitDurable/Flush.
+    (void)WriteBatch(/*sync=*/false);
   }
 }
 

@@ -178,6 +178,11 @@ class WalWriter {
   /// Marks the sticky I/O failure (first message wins) and wakes every
   /// group-commit waiter so none hangs on a log that stopped persisting.
   Status RecordIoError(const std::string& what) EXCLUDES(mu_);
+  /// Takes every pending frame and writes it as one batch, fsynced when
+  /// `sync` (Flush, the group-commit leader) and written behind otherwise
+  /// (the async flusher). With nothing pending, `sync` still fsyncs bytes
+  /// an earlier write-behind left unsynced, unless the log already failed.
+  Status WriteBatch(bool sync) EXCLUDES(mu_, io_mu_);
   /// Writes `buf` (holding `records` frames) to the active segment and
   /// optionally fsyncs; rotates afterwards when the segment outgrew the
   /// threshold.
@@ -188,10 +193,8 @@ class WalWriter {
 
   const WalOptions opts_;
 
-  /// io_mu_ serializes file writes so flusher, group-commit leader and
-  /// Flush() never interleave frames; mu_ orders sequence assignment and
-  /// guards the pending buffer. Whenever both are held, io_mu_ is taken
-  /// first and mu_ only for the short buffer swap.
+  /// io_mu_ serializes file writes (WriteBatch, DeleteSegmentsBefore);
+  /// mu_ orders sequence assignment and guards the pending buffer.
   sync::Mutex io_mu_{sync::LockRank::kWalIo, "wal.io"};
   mutable sync::Mutex mu_ ACQUIRED_AFTER(io_mu_){sync::LockRank::kWalPending,
                                                  "wal.pending"};

@@ -57,7 +57,6 @@ uint64_t Transaction::StatementSnapshot() const {
 
 StatusOr<std::optional<Row>> Transaction::Get(int table_id, const Row& pk) {
   if (state_ != TxnState::kActive) return Status::Aborted("txn not active");
-  ++seeks_;
   auto ws = write_sets_.find(table_id);
   if (ws != write_sets_.end()) {
     auto it = ws->second.find(pk);
@@ -68,7 +67,6 @@ StatusOr<std::optional<Row>> Transaction::Get(int table_id, const Row& pk) {
   }
   storage::MvccTable* t = store_->table(table_id);
   if (t == nullptr) return Status::NotFound("bad table id");
-  ++rows_visited_;
   return t->Get(pk, StatementSnapshot());
 }
 
@@ -130,7 +128,6 @@ Status Transaction::MergedScan(
     return keep_going;
   });
   if (keep_going) emit_pending_before(nullptr);
-  rows_visited_ += visited + ws_visited;
   if (rows_visited != nullptr) *rows_visited = visited + ws_visited;
   return Status::OK();
 }
@@ -154,7 +151,6 @@ Status Transaction::ScanPkRange(int table_id, const Row& lo, const Row& hi,
   if (state_ != TxnState::kActive) return Status::Aborted("txn not active");
   storage::MvccTable* t = store_->table(table_id);
   if (t == nullptr) return Status::NotFound("bad table id");
-  ++seeks_;
   // In-range test with prefix semantics matching ScanPkRange, applied to
   // write-set keys (storage rows are bounded by the scan itself) so a
   // range read inside the transaction sees its own inserts in PK position.
@@ -176,7 +172,6 @@ Status Transaction::IndexLookup(int table_id, int index_id, const Row& key,
   if (state_ != TxnState::kActive) return Status::Aborted("txn not active");
   storage::MvccTable* t = store_->table(table_id);
   if (t == nullptr) return Status::NotFound("bad table id");
-  ++seeks_;
   std::vector<Row> stored;
   int64_t visited =
       t->IndexLookup(index_id, key, StatementSnapshot(), &stored);
@@ -201,7 +196,6 @@ Status Transaction::IndexLookup(int table_id, int index_id, const Row& key,
       if (storage::PrefixEq(ikey, key.size(), key)) out->push_back(w.data);
     }
   }
-  rows_visited_ += visited;
   if (rows_visited != nullptr) *rows_visited = visited;
   return Status::OK();
 }
@@ -212,8 +206,6 @@ StatusOr<std::optional<Row>> Transaction::LockAndGet(int table_id,
   storage::MvccTable* t = store_->table(table_id);
   if (t == nullptr) return Status::NotFound("bad table id");
   OLXP_RETURN_NOT_OK(LockAndValidate(table_id, pk));
-  ++seeks_;
-  ++rows_visited_;
   auto ws = write_sets_.find(table_id);
   if (ws != write_sets_.end()) {
     auto it = ws->second.find(pk);
@@ -272,7 +264,6 @@ Status Transaction::Insert(int table_id, Row row) {
     return Status::AlreadyExists("duplicate key in " + t->schema().name());
   }
   ws[pk] = PendingWrite{false, std::move(*normalized)};
-  ++writes_;
   return Status::OK();
 }
 
@@ -292,7 +283,6 @@ Status Transaction::Update(int table_id, Row row) {
                     : t->Get(pk, StatementSnapshot()).has_value();
   if (!exists) return Status::NotFound("update of absent row");
   ws[pk] = PendingWrite{false, std::move(*normalized)};
-  ++writes_;
   return Status::OK();
 }
 
@@ -309,7 +299,6 @@ Status Transaction::Delete(int table_id, const Row& pk) {
                     : t->Get(pk, StatementSnapshot()).has_value();
   if (!exists) return Status::NotFound("delete of absent row");
   ws[pk] = PendingWrite{true, Row{}};
-  ++writes_;
   return Status::OK();
 }
 

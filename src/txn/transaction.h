@@ -105,14 +105,6 @@ class Transaction {
   /// Number of buffered writes (test/diagnostic).
   size_t WriteSetSize() const;
 
-  /// Cumulative count of storage rows visited by this txn's reads — the
-  /// latency model charges per-row scan cost from it.
-  int64_t rows_visited() const { return rows_visited_; }
-  /// Cumulative count of point/index seeks issued.
-  int64_t seeks() const { return seeks_; }
-  /// Write-set mutation count for cost accounting.
-  int64_t writes() const { return writes_; }
-
  private:
   struct PendingWrite {
     bool deleted = false;
@@ -155,10 +147,6 @@ class Transaction {
   TxnState state_ = TxnState::kActive;
   std::unordered_map<int, WriteMap> write_sets_;  // table_id -> writes
   std::vector<std::pair<int, Row>> held_locks_;
-
-  int64_t rows_visited_ = 0;
-  int64_t seeks_ = 0;
-  int64_t writes_ = 0;
 };
 
 /// Factory for transactions; owns nothing but wires the shared substrate

@@ -283,6 +283,60 @@ class LintFixtureTest(unittest.TestCase):
             {"tests/storage_test.cc": "    ColumnTable::ScanPin pin(t);\n"},
             [])
 
+    # ---- row-sweep ----
+
+    ROW_SWEEP_DRIVER = (
+        "namespace olxp::storage {\n"
+        "template <typename Visit>\n"
+        "int64_t MvccTable::Sweep(const Row* lo, const Row* hi, uint64_t ts,\n"
+        "                         Visit&& visit) const {\n"
+        "  for (;;) {\n"
+        "    { sync::MutexLock gate(gate_); }\n"
+        "    sync::ReaderLock lk(mu_);\n"
+        "    // at most kScanChunkRows entries per latch hold\n"
+        "    for (size_t n = 0; it != rows_.end() && n < kScanChunkRows;\n"
+        "         ++it, ++n) {\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+        "\n"
+        "int64_t MvccTable::Scan(uint64_t ts, const RowCallback& cb) const {\n"
+        "  return Sweep(nullptr, nullptr, ts, cb);\n"
+        "}\n"
+        "}  // namespace olxp::storage\n")
+
+    def test_row_sweep_driver_passes(self):
+        self.assert_rules(
+            {"src/storage/table.cc": self.ROW_SWEEP_DRIVER,
+             "src/storage/table.h":
+             "/// Rows a chunk visits (kScanChunkRows).\n"
+             "inline constexpr size_t kScanChunkRows = 1024;\n",
+             # Tests may size fixtures by the chunk.
+             "tests/storage_test.cc":
+             "constexpr int kRows = 12 * kScanChunkRows + 100;\n"},
+            [])
+
+    def test_second_chunk_loop_in_table_fails(self):
+        copy = (
+            "void MvccTable::ForEachCommitted(uint64_t ts) const {\n"
+            "  for (;;) {\n"
+            "    sync::ReaderLock lk(mu_);\n"
+            "    for (size_t n = 0; n < kScanChunkRows; ++n) {\n"
+            "    }\n"
+            "  }\n"
+            "}\n")
+        src = self.ROW_SWEEP_DRIVER.replace(
+            "}  // namespace olxp::storage\n",
+            copy + "}  // namespace olxp::storage\n")
+        self.assert_rules({"src/storage/table.cc": src}, ["row-sweep"])
+
+    def test_chunk_bound_elsewhere_in_src_fails(self):
+        self.assert_rules(
+            {"src/storage/table.cc": self.ROW_SWEEP_DRIVER,
+             "src/exec/vectorized.cc":
+             "  const size_t chunk = storage::kScanChunkRows;\n"},
+            ["row-sweep"])
+
     # ---- blocking-under-lock ----
 
     def test_fsync_under_mutex_lock_fails(self):

@@ -410,7 +410,9 @@ TEST_F(RecoveryTest, ReplicaParityAfterRebuild) {
                       [&](const Row& row) {
                         auto col = replica->Get({row[0]});
                         EXPECT_TRUE(col.has_value());
-                        if (col.has_value()) EXPECT_EQ(*col, row);
+                        if (col.has_value()) {
+                          EXPECT_EQ(*col, row);
+                        }
                         ++checked;
                         return true;
                       })

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "storage/column_store.h"
@@ -288,6 +291,161 @@ TEST(MvccTable, ChunkedScanStaysConsistentAcrossLatchDrops) {
     });
     EXPECT_EQ(n, kRows);
     EXPECT_TRUE(all_snapshot);  // never sees post-snapshot installs
+  }
+  stop.store(true);
+  writer.join();
+}
+
+// Sweep fixture: entry i of a composite-key table has pk (i / 8, "1N"),
+// so a pk prefix {a} covers entries [8a, 8a + 7]. Visibility at ts 15 varies
+// by i: some rows are committed after the snapshot, some deleted before it,
+// some updated across it. Invisible entries are still walked.
+constexpr int kSweepPerA = 8;
+constexpr uint64_t kSweepSnap = 15;
+
+Row SweepPk(int i) {
+  return {Value::Int(i / kSweepPerA),
+          Value::String(std::to_string(10 + i % kSweepPerA))};
+}
+
+struct SweepVersion {
+  uint64_t commit_ts;
+  double x;
+};
+
+// The version of entry i visible at kSweepSnap, or nullopt.
+std::optional<SweepVersion> SweepVisible(int i) {
+  if (i % 11 == 5) return std::nullopt;                     // ts 20 only
+  if (i % 7 == 3) return std::nullopt;                      // deleted at 10
+  if (i % 5 == 1) return SweepVersion{12, i + 0.5};         // updated at 12
+  return SweepVersion{10, static_cast<double>(i)};
+}
+
+void InstallSweepRows(MvccTable* t, int n) {
+  auto row = [](int i, double x) {
+    Row r = SweepPk(i);
+    r.push_back(Value::Double(x));
+    return r;
+  };
+  for (int i = 0; i < n; ++i) {
+    if (i % 11 == 5) {
+      ASSERT_TRUE(t->InstallVersion(SweepPk(i), 20, false, row(i, -1)).ok());
+    } else if (i % 7 == 3) {
+      ASSERT_TRUE(t->InstallVersion(SweepPk(i), 5, false, row(i, i)).ok());
+      ASSERT_TRUE(t->InstallVersion(SweepPk(i), 10, true, Row{}).ok());
+    } else if (i % 5 == 1) {
+      ASSERT_TRUE(t->InstallVersion(SweepPk(i), 5, false, row(i, -1)).ok());
+      ASSERT_TRUE(
+          t->InstallVersion(SweepPk(i), 12, false, row(i, i + 0.5)).ok());
+    } else {
+      ASSERT_TRUE(t->InstallVersion(SweepPk(i), 10, false, row(i, i)).ok());
+    }
+  }
+}
+
+// x of every entry in [first, last] visible at kSweepSnap, in key order.
+std::vector<double> SweepReference(int first, int last) {
+  std::vector<double> xs;
+  for (int i = first; i <= last; ++i) {
+    if (auto v = SweepVisible(i)) xs.push_back(v->x);
+  }
+  return xs;
+}
+
+TEST(MvccTable, RangeAndCheckpointSweepsStayExactAcrossLatchDrops) {
+  constexpr int kChunk = static_cast<int>(kScanChunkRows);
+  constexpr int kRows = 4 * kChunk + 300;  // 5 chunks from the first key
+  MvccTable t(0, CompositeSchema());
+  InstallSweepRows(&t, kRows);
+  ASSERT_EQ(t.ApproxRowCount(), static_cast<size_t>(kRows));
+
+  // Range reads agree with the reference, and bill every in-range entry
+  // walked (invisible ones included) and nothing past `hi`.
+  auto range = [&](const Row& lo, const Row& hi, int first, int last) {
+    std::vector<double> xs;
+    int64_t visited = t.ScanPkRange(lo, hi, kSweepSnap, [&](const Row& r) {
+      xs.push_back(r[2].AsDouble());
+      return true;
+    });
+    EXPECT_EQ(xs, SweepReference(first, last)) << first << ".." << last;
+    EXPECT_EQ(visited, last - first + 1) << first << ".." << last;
+  };
+  const Row from_start = {Value::Int(0)};
+  range(from_start, SweepPk(kChunk - 1), 0, kChunk - 1);  // last of chunk 1
+  range(from_start, SweepPk(kChunk), 0, kChunk);          // first of chunk 2
+  // Prefix bounds ending on and just past the first chunk boundary.
+  range(from_start, {Value::Int(kChunk / kSweepPerA - 1)}, 0, kChunk - 1);
+  range(from_start, {Value::Int(kChunk / kSweepPerA)}, 0,
+        kChunk + kSweepPerA - 1);
+  // Chunks counted from a mid-table start key.
+  constexpr int kLo = 37;
+  range(SweepPk(kLo), SweepPk(kLo + kChunk - 1), kLo, kLo + kChunk - 1);
+  range(SweepPk(kLo), SweepPk(kLo + kChunk), kLo, kLo + kChunk);
+  range(SweepPk(kLo), SweepPk(kLo + 3 * kChunk + 5), kLo,
+        kLo + 3 * kChunk + 5);
+  range({Value::Int(3)}, {Value::Int(kRows)}, 3 * kSweepPerA, kRows - 1);
+
+  // The checkpoint sweep delivers every visible row with its commit ts.
+  auto checkpoint = [&](int stop_at) {
+    std::vector<double> xs;
+    int bad = 0;
+    t.ForEachCommitted(kSweepSnap, [&](const Row& pk, uint64_t commit_ts,
+                                       const Row& data) {
+      int i = static_cast<int>(pk[0].AsInt()) * kSweepPerA +
+              std::stoi(pk[1].AsString()) - 10;
+      auto want = SweepVisible(i);
+      if (!want || want->commit_ts != commit_ts || !KeyEq()(pk, SweepPk(i))) {
+        ++bad;
+      }
+      xs.push_back(data[2].AsDouble());
+      return i != stop_at;
+    });
+    EXPECT_EQ(bad, 0);
+    return xs;
+  };
+  EXPECT_EQ(checkpoint(-1), SweepReference(0, kRows - 1));
+
+  // A callback stopping on a chunk's last row ends the sweep there.
+  ASSERT_TRUE(SweepVisible(kChunk - 1).has_value());
+  ASSERT_TRUE(SweepVisible(3 * kChunk - 1).has_value());
+  std::vector<double> xs;
+  int64_t visited = t.ScanPkRange(
+      from_start, {Value::Int(kRows)}, kSweepSnap, [&](const Row& r) {
+        xs.push_back(r[2].AsDouble());
+        return !KeyEq()({r[0], r[1]}, SweepPk(kChunk - 1));
+      });
+  EXPECT_EQ(xs, SweepReference(0, kChunk - 1));
+  EXPECT_EQ(visited, kChunk);
+  EXPECT_EQ(checkpoint(3 * kChunk - 1), SweepReference(0, 3 * kChunk - 1));
+
+  // A writer installs newer versions and new keys between the existing
+  // ones while sweeps run: none of it is visible at the snapshot.
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (uint64_t ts = 21; !stop.load(std::memory_order_relaxed); ++ts) {
+      for (int i = 0; i < kRows && !stop.load(std::memory_order_relaxed);
+           i += 3) {
+        Row pk = SweepPk(i);
+        Row newer = pk;
+        newer.push_back(Value::Double(-2));
+        ASSERT_TRUE(t.InstallVersion(pk, ts, false, newer).ok());
+        Row fresh = {pk[0], Value::String(pk[1].AsString() + "x"),
+                     Value::Double(-3)};
+        Row fresh_pk = {fresh[0], fresh[1]};
+        ASSERT_TRUE(t.InstallVersion(fresh_pk, ts, false, fresh).ok());
+      }
+    }
+  });
+  for (int round = 0; round < 20; ++round) {
+    std::vector<double> seen;
+    int64_t walked = t.ScanPkRange(
+        from_start, {Value::Int(kRows)}, kSweepSnap, [&](const Row& r) {
+          seen.push_back(r[2].AsDouble());
+          return true;
+        });
+    EXPECT_EQ(seen, SweepReference(0, kRows - 1));
+    EXPECT_GE(walked, kRows);  // new keys are walked, never delivered
+    EXPECT_EQ(checkpoint(-1), SweepReference(0, kRows - 1));
   }
   stop.store(true);
   writer.join();
