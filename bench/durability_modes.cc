@@ -176,8 +176,11 @@ int main(int argc, char** argv) {
         }
 
         benchfw::RunConfig cfg = opts.Run();
-        uint64_t fsync0 = db.wal() != nullptr ? db.wal()->fsync_count() : 0;
-        uint64_t bytes0 = db.wal() != nullptr ? db.wal()->bytes_written() : 0;
+        const obs::Counter* fsyncs = db.metrics().GetCounter("wal.fsyncs");
+        const obs::Counter* bytes =
+            db.metrics().GetCounter("wal.bytes_written");
+        const int64_t fsync0 = fsyncs->Value();
+        const int64_t bytes0 = bytes->Value();
         auto r = Cell(db, suite, {oltp}, cfg);
         const auto& k = r.Of(benchfw::AgentKind::kOltp);
 
@@ -187,8 +190,8 @@ int main(int argc, char** argv) {
         m.p95_ms = k.latency.P95() / 1000.0;
         if (db.wal() != nullptr) {
           // Cell-wide counters (warmup included): rough rate, right shape.
-          m.fsyncs = db.wal()->fsync_count() - fsync0;
-          m.wal_mb = (db.wal()->bytes_written() - bytes0) >> 20;
+          m.fsyncs = static_cast<uint64_t>(fsyncs->Value() - fsync0);
+          m.wal_mb = static_cast<uint64_t>(bytes->Value() - bytes0) >> 20;
         }
         if (m.tput > best.tput) {
           best = m;

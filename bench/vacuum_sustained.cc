@@ -85,14 +85,17 @@ int Main(int argc, char** argv) {
     peak_versions = std::max(peak_versions, f.versions);
     prev = f;
   }
-  auto totals = db.vacuum().Totals();
+  obs::MetricsRegistry& metrics = db.metrics();
   std::printf(
-      "vacuum: passes=%llu reclaimed versions=%llu chains=%llu "
-      "index_entries=%llu\n",
-      static_cast<unsigned long long>(db.vacuum().passes()),
-      static_cast<unsigned long long>(totals.versions_removed),
-      static_cast<unsigned long long>(totals.chains_removed),
-      static_cast<unsigned long long>(totals.index_entries_removed));
+      "vacuum: passes=%lld reclaimed versions=%lld chains=%lld "
+      "index_entries=%lld\n",
+      static_cast<long long>(metrics.GetCounter("vacuum.passes")->Value()),
+      static_cast<long long>(
+          metrics.GetCounter("vacuum.versions_reclaimed")->Value()),
+      static_cast<long long>(
+          metrics.GetCounter("vacuum.tombstones_reclaimed")->Value()),
+      static_cast<long long>(
+          metrics.GetCounter("vacuum.index_entries_reclaimed")->Value()));
   // Plateau: the last cell's settled footprint stays within a small factor
   // of the previous one (unbounded growth compounds per cell instead).
   const bool plateaued = last_growth > 0 && last_growth < 1.25;

@@ -73,6 +73,13 @@ Stdlib-only; runs from CI (static-analysis job) and from ctest. Rules:
                   ForEachCommitted call it). A second chunk loop would
                   drift from its writer-gate pass, latch drops and resume
                   key.
+  metrics-wiring  Under src/, no `set_metrics(` and no comparison of an
+                  `m_<name>` metric handle with nullptr. Every subsystem
+                  takes the obs::MetricsRegistry in its constructor and
+                  resolves its handles there, so a handle is never null
+                  and an engine event is counted once, into the registry.
+                  An attach-later setter or a null-guarded handle would
+                  bring back the optional second ledger.
 
 Usage: lint_engine.py [--root DIR] [--json]
 Exits 0 when clean, 1 otherwise. Default output is one human-readable
@@ -187,6 +194,11 @@ ROW_SWEEP_DRIVER_FILE = "src/storage/table.cc"
 
 LINE_COMMENT_RE = re.compile(r"^\s*(//|\*|/\*)")
 
+# metrics-wiring: an attach-later setter, or a null test on a handle.
+METRICS_SETTER_RE = re.compile(r"\bset_metrics\s*\(")
+METRIC_NULL_CHECK_RE = re.compile(
+    r"\bm_\w+\s*[!=]=\s*nullptr\b|\bnullptr\s*[!=]=\s*m_\w+")
+
 # blocking-under-lock: guard construction opens a lexical critical section
 # that lasts until the enclosing brace scope closes.
 GUARD_DECL_RE = re.compile(r"\bsync::(?:MutexLock|WriterLock)\b\s+[A-Za-z_]")
@@ -282,6 +294,14 @@ def lint_file(root, rel, findings):
                                  "kScanChunkRows outside MvccTable::Sweep; "
                                  "read the row store through Scan / "
                                  "ScanPkRange / ForEachCommitted"))
+            if ((METRICS_SETTER_RE.search(line)
+                    or METRIC_NULL_CHECK_RE.search(line))
+                    and not LINE_COMMENT_RE.match(line)):
+                findings.append((rel, lineno, "metrics-wiring",
+                                 "attach-later metrics setter or null-"
+                                 "guarded metric handle; take the "
+                                 "obs::MetricsRegistry& in the constructor "
+                                 "and resolve the handles there"))
             if TSA_ESCAPE_RE.search(line):
                 findings.append((rel, lineno, "tsa-escape",
                                  "NO_THREAD_SAFETY_ANALYSIS outside the "

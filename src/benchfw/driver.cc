@@ -17,6 +17,13 @@ struct LocalStats {
   KindStats stats;
 };
 
+/// The lock.* counters Fig. 4 reads, at one instant.
+struct LockSample {
+  int64_t wait_ns = 0;
+  int64_t acquires = 0;
+  int64_t timeouts = 0;
+};
+
 /// State shared by all threads of one agent group.
 struct GroupState {
   const AgentConfig* cfg = nullptr;
@@ -157,15 +164,23 @@ StatusOr<RunResult> RunCell(engine::Database& db, const BenchmarkSuite& suite,
   const int64_t end_us =
       measure_start_us + static_cast<int64_t>(cfg.measure_seconds * 1e6);
 
-  // Lock stats snapshot at measure start is taken by a coordinator thread.
-  storage::LockStats& ls = db.lock_manager().stats();
-  std::atomic<uint64_t> wait0{0}, acq0{0}, to0{0};
+  // The Fig. 4 lock counters are sampled by a coordinator thread at both
+  // edges of the measure window, the same window busy_nanos is clipped to:
+  // a wait that ends after end_us (a post-window retry, a body still
+  // running) must not land in the lock-overhead numerator.
+  obs::MetricsRegistry& metrics = db.metrics();
+  const obs::Counter* wait_ns = metrics.GetCounter("lock.wait_ns");
+  const obs::Counter* acquires = metrics.GetCounter("lock.acquires");
+  const obs::Counter* timeouts = metrics.GetCounter("lock.timeouts");
+  LockSample at_start, at_end;
   std::thread coordinator([&] {
-    int64_t now = NowMicros();
-    if (measure_start_us > now) SleepMicros(measure_start_us - now);
-    wait0 = ls.wait_nanos.load();
-    acq0 = ls.acquisitions.load();
-    to0 = ls.timeouts.load();
+    auto sample_at = [&](int64_t when_us, LockSample* out) {
+      const int64_t now = NowMicros();
+      if (when_us > now) SleepMicros(when_us - now);
+      *out = {wait_ns->Value(), acquires->Value(), timeouts->Value()};
+    };
+    sample_at(measure_start_us, &at_start);
+    sample_at(end_us, &at_end);
   });
 
   sync::Mutex out_mu{sync::LockRank::kClient, "benchfw.stats"};
@@ -182,9 +197,12 @@ StatusOr<RunResult> RunCell(engine::Database& db, const BenchmarkSuite& suite,
   for (auto& t : threads) t.join();
   coordinator.join();
 
-  result.lock_wait_nanos = ls.wait_nanos.load() - wait0.load();
-  result.lock_acquisitions = ls.acquisitions.load() - acq0.load();
-  result.lock_timeouts = ls.timeouts.load() - to0.load();
+  result.lock_wait_nanos =
+      static_cast<uint64_t>(at_end.wait_ns - at_start.wait_ns);
+  result.lock_acquisitions =
+      static_cast<uint64_t>(at_end.acquires - at_start.acquires);
+  result.lock_timeouts =
+      static_cast<uint64_t>(at_end.timeouts - at_start.timeouts);
   for (const auto& [kind, ks] : result.kinds) {
     result.total_busy_nanos += ks.busy_nanos;
   }

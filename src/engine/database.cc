@@ -17,7 +17,8 @@ constexpr size_t kRecoveryOpsPerRecord = 4096;
 
 Database::Database(EngineProfile profile)
     : profile_(std::move(profile)),
-      slow_log_(profile_.slow_query_log_capacity) {
+      slow_log_(profile_.slow_query_log_capacity),
+      lock_manager_(metrics_) {
   // CI (and operators) force intra-query parallelism onto every instance
   // without touching call sites: the TSan job runs the whole suite with
   // OLXP_EXEC_THREADS=4 so the pool, dispatcher and partial-state merges
@@ -26,11 +27,9 @@ Database::Database(EngineProfile profile)
     int n = std::atoi(env);
     if (n > 0) profile_.exec_threads = n;
   }
-  lock_manager_.set_metrics(&metrics_);
   set_exec_threads(profile_.exec_threads);
   replicator_ = std::make_unique<storage::Replicator>(
-      &commit_log_, &column_store_, profile_.replication_lag_micros);
-  replicator_->set_metrics(&metrics_);
+      &commit_log_, &column_store_, metrics_, profile_.replication_lag_micros);
   txn_manager_ = std::make_unique<txn::TransactionManager>(
       &row_store_, &lock_manager_, &oracle_, &commit_log_,
       profile_.lock_timeout_micros, &snapshots_);
@@ -57,9 +56,8 @@ Database::Database(EngineProfile profile)
   storage::VacuumConfig vcfg;
   vcfg.interval_us = profile_.vacuum_interval_us;
   vcfg.batch_rows = profile_.vacuum_batch_rows;
-  vcfg.metrics = &metrics_;
   vacuum_ = std::make_unique<storage::Vacuum>(&row_store_, &snapshots_,
-                                              &oracle_, vcfg);
+                                              &oracle_, vcfg, metrics_);
   vacuum_->Start();
 }
 
@@ -78,8 +76,7 @@ Database::~Database() {
 void Database::set_exec_threads(int n) {
   if (exec_pool_) exec_pool_->Shutdown();
   profile_.exec_threads = n;
-  exec_pool_ = std::make_unique<exec::WorkerPool>(n);
-  exec_pool_->set_metrics(&metrics_);
+  exec_pool_ = std::make_unique<exec::WorkerPool>(n, metrics_);
 }
 
 std::unique_ptr<Session> Database::CreateSession() {
@@ -144,7 +141,7 @@ void Database::WaitReplicaCaughtUp() {
 
 storage::VacuumStats Database::RunVacuum() { return vacuum_->RunOnce(); }
 
-std::string Database::StatsJson() {
+obs::MetricsSnapshot Database::RefreshedSnapshot() {
   // Storage gauges (per-table footprint and block-skip telemetry) are
   // pull-published: refresh them right before snapshotting.
   column_store_.PublishMetrics(&metrics_);
@@ -153,8 +150,12 @@ std::string Database::StatsJson() {
   // out entirely).
   metrics_.GetGauge("lockorder.edges_observed")
       ->Set(sync::lockorder::EdgesObserved());
+  return metrics_.Snapshot();
+}
+
+std::string Database::StatsJson() {
   std::string out = "{\"metrics\":";
-  out += metrics_.Snapshot().ToJson();
+  out += RefreshedSnapshot().ToJson();
   out += ",\"slow_query_total\":";
   out += std::to_string(slow_log_.total_recorded());
   out += ",\"slow_queries\":[";
@@ -173,10 +174,7 @@ std::string Database::StatsJson() {
 }
 
 std::string Database::MetricsText() {
-  column_store_.PublishMetrics(&metrics_);
-  metrics_.GetGauge("lockorder.edges_observed")
-      ->Set(sync::lockorder::EdgesObserved());
-  return metrics_.Snapshot().ToPrometheusText();
+  return RefreshedSnapshot().ToPrometheusText();
 }
 
 Status Database::RecoverFromWal() {
@@ -291,10 +289,9 @@ Status Database::RecoverFromWal() {
   wopts.mode = profile_.durability;
   wopts.group_commit_window_us = profile_.group_commit_window_us;
   wopts.segment_bytes = profile_.wal_segment_bytes;
-  wopts.metrics = &metrics_;
   OLXP_ASSIGN_OR_RETURN(
       wal_, storage::WalWriter::Open(
-                wopts, std::max(max_seq + 1, replay_from)));
+                wopts, std::max(max_seq + 1, replay_from), metrics_));
   commit_log_.AttachWal(wal_.get());
   return Status::OK();
 }

@@ -139,6 +139,10 @@ class Database : public sql::Catalog {
   /// then opens the segment writer for new commits.
   Status RecoverFromWal();
 
+  /// Refreshes the pull-published gauges (columnar storage footprint and
+  /// block skips, lock-order coverage) and snapshots the registry.
+  obs::MetricsSnapshot RefreshedSnapshot();
+
   /// Declared before every subsystem so it is destroyed last: WAL flushes,
   /// final vacuum passes and replicator drains may still record into it
   /// while the rest of the substrate tears down.

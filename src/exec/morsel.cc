@@ -7,7 +7,27 @@
 
 namespace olxp::exec {
 
-WorkerPool::WorkerPool(int lanes) : lanes_(std::max(1, lanes)) {
+namespace {
+
+std::vector<obs::Counter*> LaneBusyCounters(int lanes,
+                                            obs::MetricsRegistry& metrics) {
+  std::vector<obs::Counter*> out;
+  out.reserve(static_cast<size_t>(lanes));
+  for (int lane = 0; lane < lanes; ++lane) {
+    out.push_back(metrics.GetCounter("exec.pool.lane" + std::to_string(lane) +
+                                     ".busy_ns"));
+  }
+  return out;
+}
+
+}  // namespace
+
+WorkerPool::WorkerPool(int lanes, obs::MetricsRegistry& metrics)
+    : lanes_(std::max(1, lanes)),
+      m_runs_(metrics.GetCounter("exec.pool.runs")),
+      m_jobs_(metrics.GetCounter("exec.pool.jobs")),
+      m_queue_depth_(metrics.GetGauge("exec.pool.queue_depth")),
+      lane_busy_ns_(LaneBusyCounters(lanes_, metrics)) {
   workers_.reserve(static_cast<size_t>(lanes_ - 1));
   for (int i = 0; i < lanes_ - 1; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -15,32 +35,6 @@ WorkerPool::WorkerPool(int lanes) : lanes_(std::max(1, lanes)) {
 }
 
 WorkerPool::~WorkerPool() { Shutdown(); }
-
-void WorkerPool::set_metrics(obs::MetricsRegistry* metrics) {
-  // Registry lookups happen BEFORE taking mu_: the registry mutex ranks
-  // below the pool mutex (workers hold mu_ far more often than anyone
-  // touches the registry), so looking up under mu_ would invert the lock
-  // order. Only the member stores need the pool lock.
-  obs::Counter* runs = nullptr;
-  obs::Counter* jobs = nullptr;
-  obs::Gauge* queue_depth = nullptr;
-  std::vector<obs::Counter*> lane_busy;
-  if (metrics != nullptr) {
-    runs = metrics->GetCounter("exec.pool.runs");
-    jobs = metrics->GetCounter("exec.pool.jobs");
-    queue_depth = metrics->GetGauge("exec.pool.queue_depth");
-    lane_busy.resize(static_cast<size_t>(lanes_));
-    for (int lane = 0; lane < lanes_; ++lane) {
-      lane_busy[static_cast<size_t>(lane)] = metrics->GetCounter(
-          "exec.pool.lane" + std::to_string(lane) + ".busy_ns");
-    }
-  }
-  sync::MutexLock lk(mu_);
-  m_runs_ = runs;
-  m_jobs_ = jobs;
-  m_queue_depth_ = queue_depth;
-  lane_busy_ns_ = std::move(lane_busy);
-}
 
 void WorkerPool::Shutdown() {
   // Swap the threads out under the lock: Run() reads workers_.empty() under
@@ -71,18 +65,10 @@ void WorkerPool::WorkerLoop() {
       if (jobs_.empty()) return;  // stop_ with a drained queue
       job = jobs_.front();
       jobs_.pop_front();
-      if (m_queue_depth_ != nullptr) {
-        m_queue_depth_->Set(static_cast<int64_t>(jobs_.size()));
-      }
+      m_queue_depth_->Set(static_cast<int64_t>(jobs_.size()));
     }
-    if (m_jobs_ != nullptr) {
-      m_jobs_->Add(1);
-      const int64_t t0 = NowNanos();
-      (*job.fn)(job.lane);
-      lane_busy_ns_[static_cast<size_t>(job.lane)]->Add(NowNanos() - t0);
-    } else {
-      (*job.fn)(job.lane);
-    }
+    m_jobs_->Add(1);
+    RunLane(*job.fn, job.lane);
     // fetch_sub under the lock so the Run() waiter cannot observe the
     // counter hit zero and destroy its stack state while this thread is
     // between the decrement and the notify.
@@ -108,24 +94,22 @@ void WorkerPool::Run(int n, const std::function<void(int)>& fn) {
         for (int lane = 1; lane < n; ++lane) {
           jobs_.push_back(Job{&fn, lane, &remaining});
         }
-        if (m_queue_depth_ != nullptr) {
-          m_queue_depth_->Set(static_cast<int64_t>(jobs_.size()));
-        }
+        m_queue_depth_->Set(static_cast<int64_t>(jobs_.size()));
       }
     }
     if (remaining.load(std::memory_order_relaxed) > 0) work_cv_.NotifyAll();
   }
-  if (m_runs_ != nullptr) {
-    m_runs_->Add(1);
-    const int64_t t0 = NowNanos();
-    fn(0);  // never under mu_: the job may run for a whole query
-    lane_busy_ns_[0]->Add(NowNanos() - t0);
-  } else {
-    fn(0);  // never under mu_: the job may run for a whole query
-  }
+  m_runs_->Add(1);
+  RunLane(fn, 0);  // never under mu_: the job may run for a whole query
   if (remaining.load(std::memory_order_acquire) == 0) return;
   sync::MutexLock lk(mu_);
   while (remaining.load(std::memory_order_acquire) != 0) done_cv_.Wait(lk);
+}
+
+void WorkerPool::RunLane(const std::function<void(int)>& fn, int lane) {
+  const int64_t t0 = NowNanos();
+  fn(lane);
+  lane_busy_ns_[static_cast<size_t>(lane)]->Add(NowNanos() - t0);
 }
 
 MorselDispatcher::MorselDispatcher(size_t total_rows, size_t morsel_rows)

@@ -28,7 +28,9 @@ namespace olxp::exec {
 class WorkerPool {
  public:
   /// `lanes` <= 1 spawns no threads (Run degrades to an inline call).
-  explicit WorkerPool(int lanes);
+  /// `metrics` receives the exec.pool.* counters and per-lane busy time and
+  /// must outlive the pool.
+  WorkerPool(int lanes, obs::MetricsRegistry& metrics);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -48,10 +50,6 @@ class WorkerPool {
   /// in-flight morsel can touch storage that is being torn down.
   void Shutdown() EXCLUDES(mu_);
 
-  /// Attaches a metrics sink (exec.pool.* counters, per-lane busy time).
-  /// Call before Run() traffic; the registry must outlive the pool.
-  void set_metrics(obs::MetricsRegistry* metrics) EXCLUDES(mu_);
-
  private:
   struct Job {
     const std::function<void(int)>* fn;
@@ -60,8 +58,17 @@ class WorkerPool {
   };
 
   void WorkerLoop();
+  /// Runs lane `lane` of `fn` on the calling thread, adding its wall time
+  /// to the lane's busy counter.
+  void RunLane(const std::function<void(int)>& fn, int lane);
 
   const int lanes_;
+  obs::Counter* const m_runs_;
+  obs::Counter* const m_jobs_;
+  obs::Gauge* const m_queue_depth_;
+  /// lane_busy_ns_[k] is lane k's cumulative job execution time (lane 0 =
+  /// the calling session thread's share of parallel Runs).
+  const std::vector<obs::Counter*> lane_busy_ns_;
   /// Entered by Run() with a scan pin (TableLatch) held, hence the rank.
   sync::Mutex mu_{sync::LockRank::kWorkerPool, "workerpool"};
   sync::CondVar work_cv_;  ///< workers wait for jobs here
@@ -69,16 +76,6 @@ class WorkerPool {
   std::deque<Job> jobs_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_ GUARDED_BY(mu_);
-
-  // Cached metric handles (null until set_metrics). Read without mu_ on the
-  // hot path under the set-before-traffic contract: set_metrics must run
-  // before any Run() call. lane_busy_ns_[k] is lane k's cumulative job
-  // execution time (lane 0 = the calling session thread's share of
-  // parallel Runs).
-  obs::Counter* m_runs_ = nullptr;
-  obs::Counter* m_jobs_ = nullptr;
-  obs::Gauge* m_queue_depth_ = nullptr;
-  std::vector<obs::Counter*> lane_busy_ns_;
 };
 
 /// Partitions the slot range [0, total_rows) of one pinned table into

@@ -55,11 +55,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();  // never destroyed
-  return *global;
-}
-
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -102,10 +102,13 @@ struct MetricsSnapshot {
   std::string ToPrometheusText() const;
 };
 
-/// Named metric registry threaded through every engine subsystem. Lookup
-/// happens once at subsystem wiring time (returned pointers are stable for
-/// the registry's lifetime); hot paths hold the pointer and never touch the
-/// name map again.
+/// Named metric registry: the one ledger of engine events. Each Database
+/// owns one, so concurrent instances never mix, and builds every subsystem
+/// (lock manager, WAL, vacuum, replicator, worker pool) with it. A
+/// subsystem looks its handles up once, in its constructor (returned
+/// pointers are stable for the registry's lifetime); hot paths hold the
+/// pointer and never touch the name map again. Bench drivers read the same
+/// counters, so telemetry and measurement are one system.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -117,10 +120,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
-
-  /// Process-wide registry for code with no Database handle (each Database
-  /// still owns a private registry so concurrent instances never mix).
-  static MetricsRegistry& Global();
 
  private:
   mutable sync::Mutex mu_{sync::LockRank::kObs, "obs.registry"};

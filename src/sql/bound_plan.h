@@ -145,13 +145,17 @@ struct BoundInsert {
   std::vector<std::vector<BoundExprPtr>> rows;
 };
 
+/// UPDATE and DELETE select their rows with a one-step plan over the target
+/// table (slots = its columns), compiled once and run as is.
 struct BoundUpdate {
-  TableStep step;
+  BoundSelect scan;
   std::vector<std::pair<int, BoundExprPtr>> assignments;  // schema pos
+  const TableStep& step() const { return scan.steps.front(); }
 };
 
 struct BoundDelete {
-  TableStep step;
+  BoundSelect scan;
+  const TableStep& step() const { return scan.steps.front(); }
 };
 
 struct BoundCreateTable {

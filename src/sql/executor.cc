@@ -280,9 +280,11 @@ class Compiler {
     return b;
   }
 
-  StatusOr<TableStep> CompileSingleTableStep(const std::string& table_name,
-                                             const ExprPtr& where,
-                                             std::vector<TableBinding>* scope) {
+  /// Compiles the WHERE scan of an UPDATE/DELETE as a one-step plan, which
+  /// the executor runs through RunJoin as is on every execution.
+  StatusOr<BoundSelect> CompileSingleTableScan(
+      const std::string& table_name, const ExprPtr& where,
+      std::vector<TableBinding>* scope) {
     auto tid = catalog_.TableId(table_name);
     if (!tid.ok()) return tid.status();
     TableBinding b;
@@ -307,18 +309,21 @@ class Compiler {
       }
     }
     ChooseAccessPath(&step);
-    return step;
+    BoundSelect scan;
+    scan.total_slots = step.ncols;
+    scan.steps.push_back(std::move(step));
+    return scan;
   }
 
   StatusOr<std::unique_ptr<BoundUpdate>> CompileUpdate(
       const UpdateStmt& stmt) {
     auto b = std::make_unique<BoundUpdate>();
     std::vector<TableBinding> scope;
-    auto step = CompileSingleTableStep(stmt.table_name, stmt.where, &scope);
-    if (!step.ok()) return step.status();
-    b->step = std::move(step).value();
+    auto scan = CompileSingleTableScan(stmt.table_name, stmt.where, &scope);
+    if (!scan.ok()) return scan.status();
+    b->scan = std::move(scan).value();
     for (const auto& [col, expr] : stmt.assignments) {
-      int pos = b->step.schema->ColumnIndex(col);
+      int pos = b->step().schema->ColumnIndex(col);
       if (pos < 0) {
         return Status::InvalidArgument("unknown column " + col);
       }
@@ -333,9 +338,9 @@ class Compiler {
       const DeleteStmt& stmt) {
     auto b = std::make_unique<BoundDelete>();
     std::vector<TableBinding> scope;
-    auto step = CompileSingleTableStep(stmt.table_name, stmt.where, &scope);
-    if (!step.ok()) return step.status();
-    b->step = std::move(step).value();
+    auto scan = CompileSingleTableScan(stmt.table_name, stmt.where, &scope);
+    if (!scan.ok()) return scan.status();
+    b->scan = std::move(scan).value();
     return b;
   }
 
@@ -1373,29 +1378,12 @@ StatusOr<ResultSet> ExecuteInsertPlan(const BoundInsert& plan,
   return rs;
 }
 
-/// Materializes all rows matched by a single-table step (used by UPDATE and
-/// DELETE before mutating, so the scan never observes its own writes).
-Status CollectMatches(const TableStep& step, ExecContext* ctx,
+/// Materializes all rows matched by an UPDATE/DELETE's one-step scan before
+/// mutating, so the scan never observes its own writes.
+Status CollectMatches(const BoundSelect& scan, ExecContext* ctx,
                       std::vector<Row>* out) {
-  BoundSelect shim;
-  // Borrow the step without copying its exprs: wrap via a local plan whose
-  // single step aliases the original through pointers. Since TableStep holds
-  // unique_ptrs we construct a lightweight clone.
-  TableStep copy;
-  copy.table_id = step.table_id;
-  copy.schema = step.schema;
-  copy.base = step.base;
-  copy.ncols = step.ncols;
-  copy.path = step.path;
-  copy.index_id = step.index_id;
-  for (const auto& k : step.key_exprs) copy.key_exprs.push_back(CloneBound(*k));
-  if (step.range_lo) copy.range_lo = CloneBound(*step.range_lo);
-  if (step.range_hi) copy.range_hi = CloneBound(*step.range_hi);
-  for (const auto& f : step.filters) copy.filters.push_back(CloneBound(*f));
-  shim.steps.push_back(std::move(copy));
-  shim.total_slots = step.ncols;
   bool stop = false;
-  return RunJoin(shim, ctx,
+  return RunJoin(scan, ctx,
                  [&](const Row& tuple) -> Status {
                    out->push_back(tuple);
                    return Status::OK();
@@ -1416,19 +1404,20 @@ StatusOr<bool> StillMatches(const TableStep& step, const Row& row,
 
 StatusOr<ResultSet> ExecuteUpdatePlan(const BoundUpdate& plan,
                                       ExecContext* ctx) {
+  const TableStep& step = plan.step();
   std::vector<Row> matches;
-  OLXP_RETURN_NOT_OK(CollectMatches(plan.step, ctx, &matches));
+  OLXP_RETURN_NOT_OK(CollectMatches(plan.scan, ctx, &matches));
   ResultSet rs;
   for (const Row& matched : matches) {
-    Row pk = plan.step.schema->ExtractPrimaryKey(matched);
+    Row pk = step.schema->ExtractPrimaryKey(matched);
     // Atomic read-modify-write: lock the row, re-read its CURRENT value,
     // re-check the predicate and evaluate assignments against it. Without
     // the relock, read-committed engines lose concurrent updates (e.g.
     // TPC-C's d_next_o_id counter handing out duplicate order ids).
-    auto current = ctx->storage->LockAndGet(plan.step.table_id, pk);
+    auto current = ctx->storage->LockAndGet(step.table_id, pk);
     if (!current.ok()) return current.status();
     if (!current->has_value()) continue;  // deleted concurrently
-    auto matches_now = StillMatches(plan.step, **current, ctx);
+    auto matches_now = StillMatches(step, **current, ctx);
     if (!matches_now.ok()) return matches_now.status();
     if (!*matches_now) continue;
     Row new_row = **current;
@@ -1437,8 +1426,7 @@ StatusOr<ResultSet> ExecuteUpdatePlan(const BoundUpdate& plan,
       if (!v.ok()) return v.status();
       new_row[pos] = std::move(v).value();
     }
-    OLXP_RETURN_NOT_OK(
-        ctx->storage->Update(plan.step.table_id, std::move(new_row)));
+    OLXP_RETURN_NOT_OK(ctx->storage->Update(step.table_id, std::move(new_row)));
     rs.affected_rows++;
   }
   return rs;
@@ -1446,18 +1434,19 @@ StatusOr<ResultSet> ExecuteUpdatePlan(const BoundUpdate& plan,
 
 StatusOr<ResultSet> ExecuteDeletePlan(const BoundDelete& plan,
                                       ExecContext* ctx) {
+  const TableStep& step = plan.step();
   std::vector<Row> matches;
-  OLXP_RETURN_NOT_OK(CollectMatches(plan.step, ctx, &matches));
+  OLXP_RETURN_NOT_OK(CollectMatches(plan.scan, ctx, &matches));
   ResultSet rs;
   for (const Row& row : matches) {
-    Row pk = plan.step.schema->ExtractPrimaryKey(row);
-    auto current = ctx->storage->LockAndGet(plan.step.table_id, pk);
+    Row pk = step.schema->ExtractPrimaryKey(row);
+    auto current = ctx->storage->LockAndGet(step.table_id, pk);
     if (!current.ok()) return current.status();
     if (!current->has_value()) continue;  // already gone
-    auto matches_now = StillMatches(plan.step, **current, ctx);
+    auto matches_now = StillMatches(step, **current, ctx);
     if (!matches_now.ok()) return matches_now.status();
     if (!*matches_now) continue;
-    OLXP_RETURN_NOT_OK(ctx->storage->Delete(plan.step.table_id, pk));
+    OLXP_RETURN_NOT_OK(ctx->storage->Delete(step.table_id, pk));
     rs.affected_rows++;
   }
   return rs;

@@ -6,24 +6,15 @@
 
 namespace olxp::storage {
 
-LockManager::LockManager(int num_shards, ShardHashFn hash)
-    : shards_(num_shards), hash_(hash) {}
-
-void LockManager::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_acquires_ = nullptr;
-    m_conflicts_ = nullptr;
-    m_waits_ = nullptr;
-    m_wait_ns_ = nullptr;
-    m_timeouts_ = nullptr;
-    return;
-  }
-  m_acquires_ = metrics->GetCounter("lock.acquires");
-  m_conflicts_ = metrics->GetCounter("lock.conflicts");
-  m_waits_ = metrics->GetCounter("lock.waits");
-  m_wait_ns_ = metrics->GetCounter("lock.wait_ns");
-  m_timeouts_ = metrics->GetCounter("lock.timeouts");
-}
+LockManager::LockManager(obs::MetricsRegistry& metrics, int num_shards,
+                         ShardHashFn hash)
+    : shards_(num_shards),
+      hash_(hash),
+      m_acquires_(metrics.GetCounter("lock.acquires")),
+      m_conflicts_(metrics.GetCounter("lock.conflicts")),
+      m_waits_(metrics.GetCounter("lock.waits")),
+      m_wait_ns_(metrics.GetCounter("lock.wait_ns")),
+      m_timeouts_(metrics.GetCounter("lock.timeouts")) {}
 
 size_t LockManager::LockHash(int table_id, const Row& key) {
   size_t h = HashRow(key);
@@ -43,26 +34,22 @@ Status LockManager::Acquire(uint64_t txn_id, int table_id, const Row& key,
     it = shard.locks.emplace(TableKey{table_id, key}, LockEntry{}).first;
     it->second.owner = txn_id;
     it->second.reentry = 1;
-    stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (m_acquires_ != nullptr) m_acquires_->Add(1);
+    m_acquires_->Add(1);
     return Status::OK();
   }
   if (it->second.owner == txn_id) {
     it->second.reentry++;
-    stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (m_acquires_ != nullptr) m_acquires_->Add(1);
+    m_acquires_->Add(1);
     return Status::OK();
   }
   if (it->second.owner == 0) {
     it->second.owner = txn_id;
     it->second.reentry = 1;
-    stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (m_acquires_ != nullptr) m_acquires_->Add(1);
+    m_acquires_->Add(1);
     return Status::OK();
   }
   // Contended: block with a deadline.
-  stats_.waits.fetch_add(1, std::memory_order_relaxed);
-  if (m_conflicts_ != nullptr) m_conflicts_->Add(1);
+  m_conflicts_->Add(1);
   const int64_t t0 = NowNanos();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(timeout_micros);
@@ -86,19 +73,13 @@ Status LockManager::Acquire(uint64_t txn_id, int table_id, const Row& key,
   auto fit = shard.locks.find(view);
   fit->second.waiters--;
   const int64_t waited_ns = NowNanos() - t0;
-  stats_.wait_nanos.fetch_add(static_cast<uint64_t>(waited_ns),
-                              std::memory_order_relaxed);
-  if (m_wait_ns_ != nullptr) m_wait_ns_->Add(waited_ns);
+  m_wait_ns_->Add(waited_ns);
   if (granted) {
-    stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
-    if (m_acquires_ != nullptr) {
-      m_acquires_->Add(1);
-      m_waits_->Add(1);  // blocked, then granted
-    }
+    m_acquires_->Add(1);
+    m_waits_->Add(1);
     return Status::OK();
   }
-  stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-  if (m_timeouts_ != nullptr) m_timeouts_->Add(1);
+  m_timeouts_->Add(1);
   uint64_t owner_now = fit->second.owner;
   // Last-waiter exit without a grant: Release keeps an unowned entry alive
   // whenever waiters are registered (handoff), so when the handoff is

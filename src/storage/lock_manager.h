@@ -1,7 +1,6 @@
 #ifndef OLXP_STORAGE_LOCK_MANAGER_H_
 #define OLXP_STORAGE_LOCK_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -15,29 +14,17 @@
 
 namespace olxp::storage {
 
-/// Aggregate lock statistics. This is the reproduction of the paper's
-/// `perf`-based Fig. 4 measurement: instead of sampling mutex/futex symbols
-/// externally, the lock manager accounts wait time directly. The "lock
-/// overhead" for a run is wait_nanos / busy_nanos (busy time reported by the
-/// benchmark driver).
-struct LockStats {
-  std::atomic<uint64_t> acquisitions{0};   ///< successful lock grants
-  std::atomic<uint64_t> waits{0};          ///< grants that had to block
-  std::atomic<uint64_t> wait_nanos{0};     ///< total blocked nanoseconds
-  std::atomic<uint64_t> timeouts{0};       ///< deadline-expired acquisitions
-
-  void Reset() {
-    acquisitions = 0;
-    waits = 0;
-    wait_nanos = 0;
-    timeouts = 0;
-  }
-};
-
 /// Striped exclusive row-lock table keyed by (table_id, primary key).
 /// Grants are reentrant per transaction. Waiting is bounded by a deadline;
 /// expiry returns LockTimeout (the engine's deadlock breaker, surfaced to
 /// the harness as a retryable abort).
+///
+/// Every grant, conflict, wait and timeout is counted into the `lock.*`
+/// counters of the registry the manager is built with. This is the
+/// reproduction of the paper's `perf`-based Fig. 4 measurement: instead of
+/// sampling mutex/futex symbols externally, the lock manager accounts wait
+/// time directly, and the figure driver divides `lock.wait_ns` by the busy
+/// time it measures.
 ///
 /// Entries are keyed by the FULL (table_id, key) identity, hash-bucketed
 /// into shards. Keying by the raw hash (the original design) let two
@@ -52,7 +39,9 @@ class LockManager {
   /// still get distinct, correctly-exclusive lock entries.
   using ShardHashFn = size_t (*)(int table_id, const Row& key);
 
-  explicit LockManager(int num_shards = 64, ShardHashFn hash = &LockHash);
+  /// `metrics` receives the lock.* counters and must outlive the manager.
+  explicit LockManager(obs::MetricsRegistry& metrics, int num_shards = 64,
+                       ShardHashFn hash = &LockHash);
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -75,13 +64,6 @@ class LockManager {
 
   /// Default shard hash.
   static size_t LockHash(int table_id, const Row& key);
-
-  LockStats& stats() { return stats_; }
-  const LockStats& stats() const { return stats_; }
-
-  /// Attaches a metrics sink (lock.* counters, mirroring LockStats). Call
-  /// before concurrent Acquire traffic; the registry must outlive this.
-  void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
   struct LockEntry {
@@ -135,14 +117,12 @@ class LockManager {
 
   std::vector<Shard> shards_;
   ShardHashFn hash_;
-  LockStats stats_;
 
-  // Cached metric handles (null until set_metrics).
-  obs::Counter* m_acquires_ = nullptr;
-  obs::Counter* m_conflicts_ = nullptr;
-  obs::Counter* m_waits_ = nullptr;
-  obs::Counter* m_wait_ns_ = nullptr;
-  obs::Counter* m_timeouts_ = nullptr;
+  obs::Counter* const m_acquires_;   ///< every grant
+  obs::Counter* const m_conflicts_;  ///< acquisitions that had to block
+  obs::Counter* const m_waits_;      ///< blocked, then granted
+  obs::Counter* const m_wait_ns_;    ///< total blocked nanoseconds
+  obs::Counter* const m_timeouts_;   ///< deadline-expired acquisitions
 };
 
 }  // namespace olxp::storage

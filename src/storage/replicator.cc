@@ -6,12 +6,18 @@
 
 namespace olxp::storage {
 
-Replicator::Replicator(CommitLog* log, ColumnStore* store, int64_t lag_micros,
+Replicator::Replicator(CommitLog* log, ColumnStore* store,
+                       obs::MetricsRegistry& metrics, int64_t lag_micros,
                        int64_t poll_micros)
     : log_(log),
       store_(store),
       lag_micros_(lag_micros),
-      poll_micros_(poll_micros) {}
+      poll_micros_(poll_micros),
+      m_applied_(metrics.GetCounter("repl.records_applied")),
+      m_apply_batches_(metrics.GetCounter("repl.apply_batches")),
+      m_frontier_seq_(metrics.GetGauge("repl.apply_frontier_seq")),
+      m_pending_(metrics.GetGauge("repl.pending_records")),
+      m_apply_lag_us_(metrics.GetGauge("repl.apply_lag_us")) {}
 
 Replicator::~Replicator() {
   Stop();
@@ -30,23 +36,6 @@ void Replicator::set_snapshot_registry(SnapshotRegistry* registry) {
   if (registry_ != nullptr) {
     frontier_handle_ = registry_->Register(SnapshotRegistry::kUnpinned);
   }
-}
-
-void Replicator::set_metrics(obs::MetricsRegistry* metrics) {
-  sync::MutexLock lk(apply_mu_);
-  if (metrics == nullptr) {
-    m_applied_ = nullptr;
-    m_apply_batches_ = nullptr;
-    m_frontier_seq_ = nullptr;
-    m_pending_ = nullptr;
-    m_apply_lag_us_ = nullptr;
-    return;
-  }
-  m_applied_ = metrics->GetCounter("repl.records_applied");
-  m_apply_batches_ = metrics->GetCounter("repl.apply_batches");
-  m_frontier_seq_ = metrics->GetGauge("repl.apply_frontier_seq");
-  m_pending_ = metrics->GetGauge("repl.pending_records");
-  m_apply_lag_us_ = metrics->GetGauge("repl.apply_lag_us");
 }
 
 void Replicator::Start() {
@@ -79,14 +68,13 @@ void Replicator::Run() {
 void Replicator::ApplyUpTo(int64_t max_wall_us) {
   sync::MutexLock lk(apply_mu_);
   std::vector<CommitRecord> batch;
-  uint64_t next = log_->Fetch(next_seq_.load(std::memory_order_relaxed),
-                              max_wall_us, &batch);
+  const uint64_t next = log_->Fetch(next_seq_, max_wall_us, &batch);
   for (const CommitRecord& rec : batch) {
     store_->ApplyCommit(rec);
   }
-  next_seq_.store(next, std::memory_order_release);
+  next_seq_ = next;
   log_->Trim(next);
-  if (m_applied_ != nullptr && !batch.empty()) {
+  if (!batch.empty()) {
     m_applied_->Add(static_cast<int64_t>(batch.size()));
     m_apply_batches_->Add(1);
     // Replica freshness: age of the newest commit just shipped. With
@@ -98,11 +86,9 @@ void Replicator::ApplyUpTo(int64_t max_wall_us) {
       m_apply_lag_us_->Set(lag > 0 ? lag : 0);
     }
   }
-  if (m_frontier_seq_ != nullptr) {
-    m_frontier_seq_->Set(static_cast<int64_t>(next));
-    const uint64_t appended = log_->size();
-    m_pending_->Set(static_cast<int64_t>(appended > next ? appended - next : 0));
-  }
+  m_frontier_seq_->Set(static_cast<int64_t>(next));
+  const uint64_t appended = log_->size();
+  m_pending_->Set(static_cast<int64_t>(appended > next ? appended - next : 0));
   if (registry_ != nullptr && frontier_handle_ != 0) {
     // Pin the vacuum watermark at the oldest commit still awaiting apply
     // (records inside the lag window); unpin when fully caught up.

@@ -19,10 +19,11 @@ namespace olxp::storage {
 /// delay is the freshness lag an analytical snapshot observes.
 class Replicator {
  public:
-  /// `lag_micros`: minimum age of a commit before it becomes visible in the
-  /// column store. `poll_micros`: tail polling interval.
-  Replicator(CommitLog* log, ColumnStore* store, int64_t lag_micros,
-             int64_t poll_micros = 200);
+  /// `metrics` receives the repl.* counters and gauges and must outlive the
+  /// replicator. `lag_micros`: minimum age of a commit before it becomes
+  /// visible in the column store. `poll_micros`: tail polling interval.
+  Replicator(CommitLog* log, ColumnStore* store, obs::MetricsRegistry& metrics,
+             int64_t lag_micros, int64_t poll_micros = 200);
   ~Replicator();
 
   Replicator(const Replicator&) = delete;
@@ -48,15 +49,6 @@ class Replicator {
   /// Call before Start(); pass nullptr to detach.
   void set_snapshot_registry(SnapshotRegistry* registry);
 
-  /// Attaches a metrics sink (repl.* counters/gauges). Call before
-  /// Start(); the registry must outlive the replicator.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
-  /// Records applied so far.
-  uint64_t applied_count() const {
-    return next_seq_.load(std::memory_order_acquire);
-  }
-
  private:
   void Run();
   /// Applies everything with commit wall time <= max_wall_us.
@@ -65,23 +57,23 @@ class Replicator {
   CommitLog* log_;
   ColumnStore* store_;
   /// apply_mu_ serializes ApplyUpTo between the shipping thread and
-  /// CatchUp, and guards the registry/metrics wiring the apply path reads.
+  /// CatchUp, and guards the apply cursor and the registry wiring the apply
+  /// path reads.
   sync::Mutex apply_mu_{sync::LockRank::kReplicatorApply, "replicator.apply"};
   SnapshotRegistry* registry_ GUARDED_BY(apply_mu_) = nullptr;
   SnapshotRegistry::Handle frontier_handle_ GUARDED_BY(apply_mu_) = 0;
+  uint64_t next_seq_ GUARDED_BY(apply_mu_) = 0;
   const int64_t lag_micros_;
   const int64_t poll_micros_;
 
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> next_seq_{0};
-  std::thread thread_;
+  obs::Counter* const m_applied_;
+  obs::Counter* const m_apply_batches_;
+  obs::Gauge* const m_frontier_seq_;
+  obs::Gauge* const m_pending_;
+  obs::Gauge* const m_apply_lag_us_;
 
-  // Cached metric handles (null until set_metrics).
-  obs::Counter* m_applied_ GUARDED_BY(apply_mu_) = nullptr;
-  obs::Counter* m_apply_batches_ GUARDED_BY(apply_mu_) = nullptr;
-  obs::Gauge* m_frontier_seq_ GUARDED_BY(apply_mu_) = nullptr;
-  obs::Gauge* m_pending_ GUARDED_BY(apply_mu_) = nullptr;
-  obs::Gauge* m_apply_lag_us_ GUARDED_BY(apply_mu_) = nullptr;
+  std::atomic<bool> running_{false};
+  std::thread thread_;
 };
 
 }  // namespace olxp::storage

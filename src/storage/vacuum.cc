@@ -5,20 +5,20 @@
 namespace olxp::storage {
 
 Vacuum::Vacuum(RowStore* store, SnapshotRegistry* registry,
-               const TimestampOracle* oracle, VacuumConfig config)
-    : store_(store), registry_(registry), oracle_(oracle), config_(config) {
-  if (config_.metrics != nullptr) {
-    m_passes_ = config_.metrics->GetCounter("vacuum.passes");
-    m_versions_ = config_.metrics->GetCounter("vacuum.versions_reclaimed");
-    m_tombstones_ = config_.metrics->GetCounter("vacuum.tombstones_reclaimed");
-    m_index_entries_ =
-        config_.metrics->GetCounter("vacuum.index_entries_reclaimed");
-    m_pass_us_ = config_.metrics->GetHistogram("vacuum.pass_us");
-    m_watermark_ = config_.metrics->GetGauge("vacuum.watermark");
-    m_watermark_age_ = config_.metrics->GetGauge("vacuum.watermark_age_ts");
-    m_active_snapshots_ = config_.metrics->GetGauge("vacuum.active_snapshots");
-  }
-}
+               const TimestampOracle* oracle, VacuumConfig config,
+               obs::MetricsRegistry& metrics)
+    : store_(store),
+      registry_(registry),
+      oracle_(oracle),
+      config_(config),
+      m_passes_(metrics.GetCounter("vacuum.passes")),
+      m_versions_(metrics.GetCounter("vacuum.versions_reclaimed")),
+      m_tombstones_(metrics.GetCounter("vacuum.tombstones_reclaimed")),
+      m_index_entries_(metrics.GetCounter("vacuum.index_entries_reclaimed")),
+      m_pass_us_(metrics.GetHistogram("vacuum.pass_us")),
+      m_watermark_(metrics.GetGauge("vacuum.watermark")),
+      m_watermark_age_(metrics.GetGauge("vacuum.watermark_age_ts")),
+      m_active_snapshots_(metrics.GetGauge("vacuum.active_snapshots")) {}
 
 Vacuum::~Vacuum() { Stop(); }
 
@@ -72,34 +72,20 @@ VacuumStats Vacuum::RunOnce() {
     if (watermark == 0) continue;
     pass += t->VacuumBelow(watermark, config_.batch_rows);
   }
-  {
-    sync::MutexLock lk(totals_mu_);
-    totals_ += pass;
-  }
-  passes_.fetch_add(1, std::memory_order_relaxed);
-  if (m_passes_ != nullptr) {
-    m_passes_->Add(1);
-    m_versions_->Add(static_cast<int64_t>(pass.versions_removed));
-    m_tombstones_->Add(static_cast<int64_t>(pass.chains_removed));
-    m_index_entries_->Add(static_cast<int64_t>(pass.index_entries_removed));
-    m_pass_us_->Record(NowMicros() - pass_start_us);
-    // Watermark age in logical-timestamp distance: how far reclamation
-    // trails the newest published commit (0 = fully caught up).
-    const uint64_t watermark =
-        last_watermark_.load(std::memory_order_relaxed);
-    const uint64_t current = oracle_->Current();
-    m_watermark_->Set(static_cast<int64_t>(watermark));
-    m_watermark_age_->Set(
-        static_cast<int64_t>(current > watermark ? current - watermark : 0));
-    m_active_snapshots_->Set(
-        static_cast<int64_t>(registry_->ActiveCount()));
-  }
+  m_passes_->Add(1);
+  m_versions_->Add(static_cast<int64_t>(pass.versions_removed));
+  m_tombstones_->Add(static_cast<int64_t>(pass.chains_removed));
+  m_index_entries_->Add(static_cast<int64_t>(pass.index_entries_removed));
+  m_pass_us_->Record(NowMicros() - pass_start_us);
+  // Watermark age in logical-timestamp distance: how far reclamation
+  // trails the newest published commit (0 = fully caught up).
+  const uint64_t watermark = last_watermark_.load(std::memory_order_relaxed);
+  const uint64_t current = oracle_->Current();
+  m_watermark_->Set(static_cast<int64_t>(watermark));
+  m_watermark_age_->Set(
+      static_cast<int64_t>(current > watermark ? current - watermark : 0));
+  m_active_snapshots_->Set(static_cast<int64_t>(registry_->ActiveCount()));
   return pass;
-}
-
-VacuumStats Vacuum::Totals() const {
-  sync::MutexLock lk(totals_mu_);
-  return totals_;
 }
 
 }  // namespace olxp::storage

@@ -100,9 +100,6 @@ struct VacuumConfig {
   /// Rows examined per exclusive-lock chunk. Bounds how long one vacuum
   /// chunk holds a table's latch against committers.
   size_t batch_rows = 512;
-  /// Optional metrics sink (vacuum.* counters, pass duration, watermark
-  /// age). Must outlive the vacuum.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Background MVCC garbage collector. Each pass computes the active-
@@ -111,10 +108,17 @@ struct VacuumConfig {
 /// newest sub-watermark version is a tombstone (with nothing newer), and
 /// purging the secondary-index entries those versions backed: the
 /// continuous, snapshot-safe collection real HTAP engines run.
+///
+/// What the passes reclaim is counted only into the vacuum.* counters of
+/// the registry the vacuum is built with (passes, versions, tombstoned
+/// chains, index entries), next to the pass-duration histogram and the
+/// watermark gauges.
 class Vacuum {
  public:
+  /// `metrics` must outlive the vacuum.
   Vacuum(RowStore* store, SnapshotRegistry* registry,
-         const TimestampOracle* oracle, VacuumConfig config);
+         const TimestampOracle* oracle, VacuumConfig config,
+         obs::MetricsRegistry& metrics);
   ~Vacuum();
 
   Vacuum(const Vacuum&) = delete;
@@ -133,10 +137,6 @@ class Vacuum {
   uint64_t last_watermark() const {
     return last_watermark_.load(std::memory_order_acquire);
   }
-  /// Completed passes.
-  uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
-  /// Cumulative reclamation counters.
-  VacuumStats Totals() const;
 
  private:
   void Run();
@@ -149,27 +149,22 @@ class Vacuum {
   /// Serializes RunOnce between thread and callers. Held across table
   /// latches and the snapshot registry, hence the outer rank.
   sync::Mutex pass_mu_{sync::LockRank::kVacuumPass, "vacuum.pass"};
-  mutable sync::Mutex totals_mu_{sync::LockRank::kVacuumState,
-                                 "vacuum.totals"};
-  VacuumStats totals_ GUARDED_BY(totals_mu_);
 
   std::atomic<uint64_t> last_watermark_{0};
-  std::atomic<uint64_t> passes_{0};
 
   sync::Mutex wake_mu_{sync::LockRank::kVacuumState, "vacuum.wake"};
   sync::CondVar wake_cv_;  ///< interruptible inter-pass sleep
   std::atomic<bool> running_{false};
   std::thread thread_;
 
-  // Cached metric handles (null when VacuumConfig::metrics is unset).
-  obs::Counter* m_passes_ = nullptr;
-  obs::Counter* m_versions_ = nullptr;
-  obs::Counter* m_tombstones_ = nullptr;
-  obs::Counter* m_index_entries_ = nullptr;
-  obs::Histogram* m_pass_us_ = nullptr;
-  obs::Gauge* m_watermark_ = nullptr;
-  obs::Gauge* m_watermark_age_ = nullptr;
-  obs::Gauge* m_active_snapshots_ = nullptr;
+  obs::Counter* const m_passes_;
+  obs::Counter* const m_versions_;
+  obs::Counter* const m_tombstones_;
+  obs::Counter* const m_index_entries_;
+  obs::Histogram* const m_pass_us_;
+  obs::Gauge* const m_watermark_;
+  obs::Gauge* const m_watermark_age_;
+  obs::Gauge* const m_active_snapshots_;
 };
 
 }  // namespace olxp::storage

@@ -460,10 +460,17 @@ StatusOr<DurabilityMode> DurabilityModeByName(std::string_view name) {
 // WalWriter
 // ---------------------------------------------------------------------------
 
-WalWriter::WalWriter(WalOptions opts) : opts_(std::move(opts)) {}
+WalWriter::WalWriter(WalOptions opts, obs::MetricsRegistry& metrics)
+    : opts_(std::move(opts)),
+      m_appends_(metrics.GetCounter("wal.appends")),
+      m_fsyncs_(metrics.GetCounter("wal.fsyncs")),
+      m_bytes_(metrics.GetCounter("wal.bytes_written")),
+      m_rotations_(metrics.GetCounter("wal.segments_rotated")),
+      m_fsync_us_(metrics.GetHistogram("wal.fsync_us")),
+      m_batch_records_(metrics.GetHistogram("wal.group_batch_records")) {}
 
-StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const WalOptions& opts,
-                                                     uint64_t next_seq) {
+StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
+    const WalOptions& opts, uint64_t next_seq, obs::MetricsRegistry& metrics) {
   if (opts.dir.empty()) {
     return Status::InvalidArgument("WAL directory not set");
   }
@@ -473,21 +480,12 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(const WalOptions& opts,
     return Status::Internal("cannot create WAL dir " + opts.dir + ": " +
                             ec.message());
   }
-  std::unique_ptr<WalWriter> w(new WalWriter(opts));
+  std::unique_ptr<WalWriter> w(new WalWriter(opts, metrics));
   {
     sync::MutexLock lk(w->mu_);
     w->next_seq_ = next_seq;
   }
   w->durable_seq_.store(next_seq - 1, std::memory_order_relaxed);
-  if (opts.metrics != nullptr) {
-    w->m_appends_ = opts.metrics->GetCounter("wal.appends");
-    w->m_fsyncs_ = opts.metrics->GetCounter("wal.fsyncs");
-    w->m_bytes_ = opts.metrics->GetCounter("wal.bytes_written");
-    w->m_rotations_ = opts.metrics->GetCounter("wal.segments_rotated");
-    w->m_fsync_us_ = opts.metrics->GetHistogram("wal.fsync_us");
-    w->m_batch_records_ =
-        opts.metrics->GetHistogram("wal.group_batch_records");
-  }
   {
     sync::MutexLock io(w->io_mu_);
     OLXP_RETURN_NOT_OK(w->OpenSegment(next_seq));
@@ -550,7 +548,7 @@ uint64_t WalWriter::AppendBody(WalFrame::Type type, const std::string& body,
     pending_last_seq_ = seq;
     ++pending_count_;
   }
-  if (m_appends_ != nullptr) m_appends_->Add(1);
+  m_appends_->Add(1);
   if (opts_.mode == DurabilityMode::kSync || force_durable) {
     // Failure is sticky: Append returns a seq either way and the caller's
     // WaitDurable / last_error reports the I/O state.
@@ -672,11 +670,8 @@ Status WalWriter::WriteBatch(bool sync) {
     if (::fsync(fd_) != 0) {
       return RecordIoError("WAL fsync failed");
     }
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    if (m_fsyncs_ != nullptr) {
-      m_fsyncs_->Add(1);
-      m_fsync_us_->Record(NowMicros() - t0);
-    }
+    m_fsyncs_->Add(1);
+    m_fsync_us_->Record(NowMicros() - t0);
     durable_seq_.store(last, std::memory_order_release);
     durable_cv_.NotifyAll();
   }
@@ -717,9 +712,8 @@ Status WalWriter::WriteAndMaybeSync(const std::string& buf, uint64_t last_seq,
     p += n;
     left -= static_cast<size_t>(n);
   }
-  bytes_written_.fetch_add(buf.size(), std::memory_order_relaxed);
   segment_size_ += buf.size();
-  if (m_bytes_ != nullptr) m_bytes_->Add(static_cast<int64_t>(buf.size()));
+  m_bytes_->Add(static_cast<int64_t>(buf.size()));
 
   const bool rotate = segment_size_ >= opts_.segment_bytes;
   if (sync || rotate) {
@@ -727,14 +721,11 @@ Status WalWriter::WriteAndMaybeSync(const std::string& buf, uint64_t last_seq,
     if (::fsync(fd_) != 0) {
       return RecordIoError("WAL fsync failed");
     }
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    if (m_fsyncs_ != nullptr) {
-      m_fsyncs_->Add(1);
-      m_fsync_us_->Record(NowMicros() - t0);
-      // One fsync covered `records` commits/DDLs: the group-commit batch
-      // size distribution the durability figure reasons about.
-      m_batch_records_->Record(static_cast<int64_t>(records));
-    }
+    m_fsyncs_->Add(1);
+    m_fsync_us_->Record(NowMicros() - t0);
+    // One fsync covered `records` commits/DDLs: the group-commit batch
+    // size distribution the durability figure reasons about.
+    m_batch_records_->Record(static_cast<int64_t>(records));
     durable_seq_.store(last_seq, std::memory_order_release);
     {
       sync::MutexLock lk(mu_);  // pairs with WaitDurable's predicate check
@@ -742,7 +733,7 @@ Status WalWriter::WriteAndMaybeSync(const std::string& buf, uint64_t last_seq,
     durable_cv_.NotifyAll();
   }
   if (rotate) {
-    if (m_rotations_ != nullptr) m_rotations_->Add(1);
+    m_rotations_->Add(1);
     Status st = OpenSegment(last_seq + 1);
     if (!st.ok()) {
       fd_ = -1;  // OpenSegment closed the old fd; nothing usable remains

@@ -61,9 +61,6 @@ struct WalOptions {
   /// batches naturally (everything that arrived during the previous fsync).
   int64_t group_commit_window_us = 100;
   uint64_t segment_bytes = 16ull << 20;  ///< rotation threshold
-  /// Optional metrics sink (wal.* counters, fsync latency, group-commit
-  /// batch size). Must outlive the writer.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// One decoded WAL frame. Commit frames carry redo; DDL frames let recovery
@@ -113,9 +110,12 @@ class WalWriter {
   /// Opens a writer appending from sequence `next_seq` (1 for a fresh
   /// database; recovery passes max replayed seq + 1). Creates the directory
   /// if needed and always starts a fresh segment, so a torn tail left by a
-  /// crash is never appended to.
-  static StatusOr<std::unique_ptr<WalWriter>> Open(const WalOptions& opts,
-                                                   uint64_t next_seq);
+  /// crash is never appended to. `metrics` receives the wal.* counters
+  /// (appends, fsyncs, bytes written, rotations) and the fsync-latency and
+  /// group-commit batch-size histograms; it must outlive the writer.
+  static StatusOr<std::unique_ptr<WalWriter>> Open(
+      const WalOptions& opts, uint64_t next_seq,
+      obs::MetricsRegistry& metrics);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -157,17 +157,8 @@ class WalWriter {
   /// Next sequence number to be assigned.
   uint64_t next_seq() const EXCLUDES(mu_);
 
-  /// fsync() calls issued so far (durability-cost accounting for benches).
-  uint64_t fsync_count() const {
-    return fsyncs_.load(std::memory_order_relaxed);
-  }
-  /// Bytes appended to segment files so far.
-  uint64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-
  private:
-  explicit WalWriter(WalOptions opts);
+  WalWriter(WalOptions opts, obs::MetricsRegistry& metrics);
 
   Status OpenSegment(uint64_t first_seq) REQUIRES(io_mu_);
   /// Assigns the next sequence number and enqueues one framed record whose
@@ -213,17 +204,14 @@ class WalWriter {
 
   int fd_ GUARDED_BY(io_mu_) = -1;
   uint64_t segment_size_ GUARDED_BY(io_mu_) = 0;
-  std::atomic<uint64_t> fsyncs_{0};
-  std::atomic<uint64_t> bytes_written_{0};
   std::thread flusher_;
 
-  // Cached metric handles (null when WalOptions::metrics is unset).
-  obs::Counter* m_appends_ = nullptr;
-  obs::Counter* m_fsyncs_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_rotations_ = nullptr;
-  obs::Histogram* m_fsync_us_ = nullptr;
-  obs::Histogram* m_batch_records_ = nullptr;
+  obs::Counter* const m_appends_;
+  obs::Counter* const m_fsyncs_;
+  obs::Counter* const m_bytes_;
+  obs::Counter* const m_rotations_;
+  obs::Histogram* const m_fsync_us_;
+  obs::Histogram* const m_batch_records_;
 };
 
 /// Replays every WAL frame with seq >= `from_seq` in `dir` in sequence

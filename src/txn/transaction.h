@@ -168,11 +168,6 @@ class TransactionManager {
   storage::TimestampOracle* oracle() { return oracle_; }
   storage::LockManager* locks() { return locks_; }
 
-  /// Transactions started since construction.
-  uint64_t started_count() const {
-    return next_txn_id_.load(std::memory_order_relaxed) - 1;
-  }
-
  private:
   storage::RowStore* store_;
   storage::LockManager* locks_;

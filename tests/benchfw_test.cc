@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "benchfw/driver.h"
 
@@ -168,6 +169,61 @@ TEST(Driver, NonRetryableFailuresCountAsErrors) {
   EXPECT_GT(k.errors, 0u);
   EXPECT_EQ(k.committed, 0u);
   EXPECT_EQ(k.retries, 0u);
+}
+
+TEST(Driver, LockWaitEndingAfterTheWindowIsNotCounted) {
+  // busy_nanos is clipped at the window's end, so the lock counters must be
+  // read there too: a wait that ends after end_us (here a body still
+  // running past the window) lands outside the Fig. 4 numerator.
+  engine::EngineProfile profile = engine::EngineProfile::MemSqlLike();
+  profile.lock_timeout_micros = 1000000;
+  engine::Database db(profile);
+  auto setup = db.CreateSession();
+  setup->set_charging_enabled(false);
+  ASSERT_TRUE(
+      setup->Execute("CREATE TABLE kv (k INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(setup->Execute("INSERT INTO kv VALUES (1, 0)").ok());
+
+  auto holder = db.CreateSession();
+  holder->set_charging_enabled(false);
+  ASSERT_TRUE(holder->Begin().ok());
+  ASSERT_TRUE(holder->Execute("UPDATE kv SET v = 1 WHERE k = 1").ok());
+  std::atomic<int64_t> body_start_us{0};
+  std::thread releaser([&] {
+    while (body_start_us.load() == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    SleepMicros(body_start_us.load() + 170000 - NowMicros());
+    EXPECT_TRUE(holder->Commit().ok());
+  });
+
+  BenchmarkSuite suite;
+  suite.create_schema = [](engine::Session&) { return Status::OK(); };
+  suite.load = [](engine::Database&, const LoadParams&) {
+    return Status::OK();
+  };
+  suite.transactions.push_back(
+      {"late_update", 1, false,
+       [&body_start_us](engine::Session& s, Rng&) -> Status {
+         s.set_charging_enabled(false);
+         body_start_us = NowMicros();
+         SleepMicros(150000);
+         return s.Execute("UPDATE kv SET v = 2 WHERE k = 1").status();
+       }});
+  AgentConfig agent;
+  agent.kind = AgentKind::kOltp;
+  agent.request_rate = -1;  // closed loop: one body spans the window
+  agent.threads = 1;
+  RunConfig cfg;
+  cfg.warmup_seconds = 0;
+  cfg.measure_seconds = 0.1;
+  RunResult result = *RunCell(db, suite, {agent}, cfg);
+  releaser.join();
+
+  // The body did wait ~20 ms for the lock, but only after the window.
+  EXPECT_GT(db.metrics().GetCounter("lock.wait_ns")->Value(), 10000000);
+  EXPECT_EQ(result.lock_wait_nanos, 0u);
+  EXPECT_EQ(result.lock_acquisitions, 0u);
 }
 
 TEST(Driver, WeightOverrideRestrictsMix) {

@@ -36,7 +36,9 @@ TEST(FailureInjection, ReplicatorStopResumeLosesNothing) {
   storage::ColumnStore cols;
   storage::CommitLog log;
   cols.AddTable(0, KvSchema());
-  storage::Replicator rep(&log, &cols, /*lag_micros=*/0, /*poll_micros=*/100);
+  obs::MetricsRegistry metrics;
+  storage::Replicator rep(&log, &cols, metrics,
+                          /*lag_micros=*/0, /*poll_micros=*/100);
   rep.Start();
 
   for (uint64_t ts = 1; ts <= 50; ++ts) {
@@ -66,7 +68,9 @@ TEST(FailureInjection, ConcurrentAppendAndShipConverges) {
   storage::ColumnStore cols;
   storage::CommitLog log;
   cols.AddTable(0, KvSchema());
-  storage::Replicator rep(&log, &cols, /*lag_micros=*/0, /*poll_micros=*/50);
+  obs::MetricsRegistry metrics;
+  storage::Replicator rep(&log, &cols, metrics,
+                          /*lag_micros=*/0, /*poll_micros=*/50);
   rep.Start();
 
   std::atomic<uint64_t> next_ts{0};

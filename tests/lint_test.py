@@ -421,6 +421,31 @@ class LintFixtureTest(unittest.TestCase):
                "}\n")
         self.assert_rules({"tests/foo_test.cc": src}, [])
 
+    # ---- metrics-wiring ----
+
+    def test_constructor_wired_subsystem_passes(self):
+        src = ("Pool::Pool(obs::MetricsRegistry& metrics)\n"
+               "    : m_runs_(metrics.GetCounter(\"pool.runs\")) {}\n"
+               "void Pool::Run() {\n"
+               "  m_runs_->Add(1);\n"
+               "  if (registry_ != nullptr) registry_->Update(h_, 0);\n"
+               "}\n")
+        self.assert_rules({"src/exec/pool.cc": src}, [])
+
+    def test_set_metrics_method_fails(self):
+        src = ("void Pool::set_metrics(obs::MetricsRegistry* metrics) {\n"
+               "  m_runs_ = metrics->GetCounter(\"pool.runs\");\n"
+               "}\n")
+        self.assert_rules({"src/exec/pool.cc": src}, ["metrics-wiring"])
+
+    def test_null_guarded_metric_handle_fails(self):
+        src = ("void Pool::Run() {\n"
+               "  if (m_runs_ != nullptr) m_runs_->Add(1);\n"
+               "  if (nullptr == m_jobs_) return;\n"
+               "}\n")
+        self.assert_rules({"src/exec/pool.cc": src},
+                          ["metrics-wiring", "metrics-wiring"])
+
     # ---- --json output ----
 
     def test_json_output_is_machine_readable(self):

@@ -239,6 +239,27 @@ TEST_F(ObsEngineTest, StatsJsonCoversEverySubsystem) {
     EXPECT_NE(json.find(name), std::string::npos) << name << "\n" << json;
   }
   EXPECT_FALSE(db.MetricsText().empty());
+
+  // Every name olxpbench reads exists with the kind it reads it as (after
+  // the refresh StatsJson does, as olxpbench takes it): a rename or a kind
+  // change would otherwise flatten its per-layer metrics to 0 silently.
+  const obs::MetricsSnapshot refreshed = db.metrics().Snapshot();
+  for (const char* name :
+       {"lock.waits", "lock.wait_ns", "lock.timeouts", "wal.appends",
+        "wal.fsyncs", "wal.bytes_written", "repl.records_applied",
+        "repl.apply_batches", "vacuum.versions_reclaimed",
+        "exec.morsels_dispatched", "exec.pool.lane0.busy_ns",
+        "exec.pool.lane1.busy_ns", "router.cost_overrides_to_row"}) {
+    EXPECT_EQ(refreshed.counters.count(name), 1u) << "counter " << name;
+  }
+  for (const char* name :
+       {"repl.apply_lag_us", "column.m.bytes_encoded", "column.m.bytes_raw",
+        "column.m.blocks_scanned", "column.m.blocks_skipped"}) {
+    EXPECT_EQ(refreshed.gauges.count(name), 1u) << "gauge " << name;
+  }
+  for (const char* name : {"wal.fsync_us", "session.statement_us"}) {
+    EXPECT_EQ(refreshed.histograms.count(name), 1u) << "histogram " << name;
+  }
 }
 
 TEST_F(ObsEngineTest, TracingChangesNoResults) {

@@ -35,7 +35,8 @@ engine::EngineProfile ParallelProfile(int threads) {
 // ------------------------------ WorkerPool ---------------------------------
 
 TEST(WorkerPool, RunsEveryLaneIncludingCaller) {
-  exec::WorkerPool pool(4);
+  obs::MetricsRegistry metrics;
+  exec::WorkerPool pool(4, metrics);
   EXPECT_EQ(pool.lanes(), 4);
   std::vector<std::atomic<int>> hits(4);
   for (auto& h : hits) h = 0;
@@ -52,7 +53,8 @@ TEST(WorkerPool, RunsEveryLaneIncludingCaller) {
 }
 
 TEST(WorkerPool, ReusableAcrossRunsAndClampsLaneCount) {
-  exec::WorkerPool pool(3);
+  obs::MetricsRegistry metrics;
+  exec::WorkerPool pool(3, metrics);
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> ran{0};
     pool.Run(8, [&](int lane) {  // clamped to lanes()
@@ -64,7 +66,8 @@ TEST(WorkerPool, ReusableAcrossRunsAndClampsLaneCount) {
 }
 
 TEST(WorkerPool, SingleLanePoolRunsInline) {
-  exec::WorkerPool pool(1);
+  obs::MetricsRegistry metrics;
+  exec::WorkerPool pool(1, metrics);
   int ran = 0;
   pool.Run(4, [&](int lane) {
     EXPECT_EQ(lane, 0);
@@ -74,7 +77,8 @@ TEST(WorkerPool, SingleLanePoolRunsInline) {
 }
 
 TEST(WorkerPool, ConcurrentRunsFromTwoThreadsComplete) {
-  exec::WorkerPool pool(4);
+  obs::MetricsRegistry metrics;
+  exec::WorkerPool pool(4, metrics);
   std::atomic<int> total{0};
   auto job = [&] {
     for (int i = 0; i < 25; ++i) {
@@ -89,7 +93,8 @@ TEST(WorkerPool, ConcurrentRunsFromTwoThreadsComplete) {
 }
 
 TEST(WorkerPool, ShutdownIsIdempotentAndRunsDegradeToInline) {
-  exec::WorkerPool pool(4);
+  obs::MetricsRegistry metrics;
+  exec::WorkerPool pool(4, metrics);
   pool.Shutdown();
   pool.Shutdown();
   std::atomic<int> ran{0};

@@ -480,7 +480,8 @@ TEST(MvccTable, ConcurrentReadersAndInstalls) {
 // ------------------------------- LockManager -------------------------------
 
 TEST(LockManager, ExclusiveAndReentrant) {
-  LockManager lm;
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics);
   Row key = {Value::Int(1)};
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());  // reentrant
@@ -496,7 +497,8 @@ TEST(LockManager, ExclusiveAndReentrant) {
 }
 
 TEST(LockManager, DifferentTablesDoNotConflict) {
-  LockManager lm;
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics);
   Row key = {Value::Int(1)};
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());
   ASSERT_TRUE(lm.Acquire(2, 1, key, 1000).ok());
@@ -511,7 +513,8 @@ TEST(LockManager, DifferentTablesDoNotConflict) {
 size_t CollidingHash(int, const Row&) { return 42; }
 
 TEST(LockManager, CollidingHashesStillGetDistinctLocks) {
-  LockManager lm(1, &CollidingHash);
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics, 1, &CollidingHash);
   Row k1 = {Value::Int(1)};
   Row k2 = {Value::Int(2)};
   ASSERT_TRUE(lm.Acquire(1, 0, k1, 1000).ok());
@@ -532,7 +535,8 @@ TEST(LockManager, CollidingHashesStillGetDistinctLocks) {
 }
 
 TEST(LockManager, NoFalseReentrantGrantAcrossCollidingKeys) {
-  LockManager lm(1, &CollidingHash);
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics, 1, &CollidingHash);
   Row k1 = {Value::Int(10)};
   Row k2 = {Value::Int(20)};
   // The historical failure: txn 1 held k1; acquiring the colliding k2 hit
@@ -554,7 +558,8 @@ TEST(LockManager, NoFalseReentrantGrantAcrossCollidingKeys) {
 }
 
 TEST(LockManager, WaiterGetsLockOnRelease) {
-  LockManager lm;
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics);
   Row key = {Value::Int(42)};
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());
   std::atomic<bool> granted{false};
@@ -568,21 +573,23 @@ TEST(LockManager, WaiterGetsLockOnRelease) {
   waiter.join();
   EXPECT_TRUE(granted.load());
   lm.Release(2, 0, key);
-  EXPECT_GE(lm.stats().waits.load(), 1u);
-  EXPECT_GT(lm.stats().wait_nanos.load(), 0u);
+  EXPECT_GE(metrics.GetCounter("lock.waits")->Value(), 1);
+  EXPECT_GT(metrics.GetCounter("lock.wait_ns")->Value(), 0);
 }
 
 TEST(LockManager, StatsCountTimeouts) {
-  LockManager lm;
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics);
   Row key = {Value::Int(9)};
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());
   EXPECT_FALSE(lm.Acquire(2, 0, key, 2000).ok());
-  EXPECT_EQ(lm.stats().timeouts.load(), 1u);
+  EXPECT_EQ(metrics.GetCounter("lock.timeouts")->Value(), 1);
   lm.Release(1, 0, key);
 }
 
 TEST(LockManager, HighContentionStress) {
-  LockManager lm;
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics);
   constexpr int kThreads = 8;
   std::atomic<int> in_critical{0};
   std::atomic<int> violations{0};
@@ -607,7 +614,8 @@ TEST(LockManager, TimedOutWaitersLeaveNoEntriesBehind) {
   // Release hands an entry with waiters off un-erased; the waiter-exit path
   // in Acquire has to reap it when nobody acquired and nobody else waits,
   // or shard.locks grows for the life of the database under contention.
-  LockManager lm(4);
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics, 4);
   Row key = {Value::Int(77)};
   ASSERT_TRUE(lm.Acquire(1, 0, key, 1000).ok());
   // Waiter times out while the owner still holds the lock.
@@ -631,7 +639,8 @@ TEST(LockManager, TimedOutWaitersLeaveNoEntriesBehind) {
 TEST(LockManager, EntryCountShrinksAfterContentionChurn) {
   // Stress with tiny deadlines so grants, handoffs and timeouts interleave;
   // after every thread quiesces and releases, the lock table must be empty.
-  LockManager lm(8);
+  obs::MetricsRegistry metrics;
+  LockManager lm(metrics, 8);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -737,7 +746,9 @@ TEST(Replicator, ShipsAfterLagAndCatchUp) {
   ColumnStore cols;
   CommitLog log;
   cols.AddTable(0, KvSchema());
-  Replicator rep(&log, &cols, /*lag_micros=*/50000, /*poll_micros=*/200);
+  obs::MetricsRegistry metrics;
+  Replicator rep(&log, &cols, metrics,
+                 /*lag_micros=*/50000, /*poll_micros=*/200);
   rep.Start();
 
   CommitRecord rec;
@@ -766,7 +777,9 @@ TEST(Replicator, EventualVisibilityWithoutCatchUp) {
   ColumnStore cols;
   CommitLog log;
   cols.AddTable(0, KvSchema());
-  Replicator rep(&log, &cols, /*lag_micros=*/2000, /*poll_micros=*/200);
+  obs::MetricsRegistry metrics;
+  Replicator rep(&log, &cols, metrics,
+                 /*lag_micros=*/2000, /*poll_micros=*/200);
   rep.Start();
   CommitRecord rec;
   rec.commit_ts = 7;
@@ -795,7 +808,9 @@ TEST(Replicator, StopDrainsRecordsAlreadyDue) {
   CommitLog log;
   cols.AddTable(0, KvSchema());
   // Poll far apart so the thread is (almost surely) asleep when we append.
-  Replicator rep(&log, &cols, /*lag_micros=*/0, /*poll_micros=*/500000);
+  obs::MetricsRegistry metrics;
+  Replicator rep(&log, &cols, metrics,
+                 /*lag_micros=*/0, /*poll_micros=*/500000);
   rep.Start();
   SleepMicros(10000);  // let the thread finish its initial apply and sleep
 
@@ -821,7 +836,9 @@ TEST(Replicator, StopKeepsRecordsStillInsideLagWindow) {
   ColumnStore cols;
   CommitLog log;
   cols.AddTable(0, KvSchema());
-  Replicator rep(&log, &cols, /*lag_micros=*/60000000, /*poll_micros=*/200);
+  obs::MetricsRegistry metrics;
+  Replicator rep(&log, &cols, metrics,
+                 /*lag_micros=*/60000000, /*poll_micros=*/200);
   rep.Start();
   CommitRecord rec;
   rec.commit_ts = 3;

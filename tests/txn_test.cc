@@ -29,7 +29,8 @@ class TxnTest : public ::testing::Test {
   }
 
   storage::RowStore store_;
-  storage::LockManager locks_;
+  obs::MetricsRegistry metrics_;
+  storage::LockManager locks_{metrics_};
   storage::TimestampOracle oracle_;
   storage::CommitLog log_;
   TransactionManager mgr_;

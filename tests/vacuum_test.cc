@@ -340,8 +340,8 @@ TEST(Vacuum, ConcurrentInstallVacuumScanStress) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   // The background vacuum actually ran and reclaimed churn.
-  EXPECT_GT(db.vacuum().passes(), 0u);
-  EXPECT_GT(db.vacuum().Totals().versions_removed, 0u);
+  EXPECT_GT(db.metrics().GetCounter("vacuum.passes")->Value(), 0);
+  EXPECT_GT(db.metrics().GetCounter("vacuum.versions_reclaimed")->Value(), 0);
   db.RunVacuum();
   // Base rows plus at most the churn range (a key can stay resident when
   // its insert landed but a retryable abort skipped the delete).
